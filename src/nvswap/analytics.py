@@ -12,8 +12,9 @@ round.  In approach B that is only the exposed Bell quarter of an epoch, so
 which also books dark clicks on the unexposed quarters, on A1 and on
 photon-lost weight.
 
-`optimize_rounds` does an exhaustive scan of the allowed round counts for an
-approach, scoring each candidate with the full protocol engine.
+`optimize_rounds` scores every allowed round count with the full protocol
+engine.  Approach A flips the same way every round, so one pass of its
+longest candidate yields every candidate; approach B runs each separately.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .protocol import ProtocolParams, ProtocolResult, run_protocol
-from .states import BellLabel, ParameterError, check_probability
+from .protocol import ProtocolParams, ProtocolResult, _run_pass, run_protocol
+from .states import ParameterError, check_count, check_probability
 
 OBJECTIVE_CONSTRAINED = "max_success_at_min_fidelity"
 OBJECTIVE_WEIGHTED = "weighted"
@@ -45,8 +46,7 @@ class BoundInputs:
         check_probability("p_abs", self.p_abs)
         check_probability("p_qnd", self.p_qnd)
         check_probability("p_dark", self.p_dark)
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ParameterError(f"rounds must be a positive integer, got {self.rounds!r}")
+        object.__setattr__(self, "rounds", check_count("rounds", self.rounds))
 
 
 def _geometric_sum(ratio: float, terms: int) -> float:
@@ -139,14 +139,8 @@ def _candidate_rounds(approach: str) -> tuple[int, ...]:
 
 
 def _min_realized_fidelity(result: ProtocolResult) -> float | None:
-    values = [
-        fidelity
-        for fidelity in result.fidelity_per_target.values()
-        if fidelity is not None
-    ]
-    if not values:
-        return None
-    return min(values)
+    fidelities = result.fidelity_per_target.values()
+    return min((f for f in fidelities if f is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,8 @@ def optimize_rounds(
     threshold (0.96 for A, 0.99 for B unless overridden); `weighted`
     maximizes total_success * pooled fidelity with no constraint.  Ties go
     to the smaller round count.  Extra keyword arguments are passed to
-    ProtocolParams.
+    ProtocolParams.  Approach A reads every candidate's result, equal to
+    run_protocol's, off one run of the largest; B calls run_protocol for each.
     """
     if objective not in (OBJECTIVE_CONSTRAINED, OBJECTIVE_WEIGHTED):
         raise ParameterError(
@@ -190,10 +185,12 @@ def optimize_rounds(
     if min_fidelity is None:
         min_fidelity = DEFAULT_MIN_FIDELITY.get(approach, 0.0)
 
+    runs = [ProtocolParams(approach, p_abs=p_abs, rounds=r, **protocol_kwargs) for r in scan]
+    # approach A's runs are prefixes of its longest; B's schedules differ per L
+    results = _run_pass(runs) if approach == "A" else map(run_protocol, runs)
     best: OptimizeOutcome | None = None
-    for rounds in scan:
-        params = ProtocolParams(approach, p_abs=p_abs, rounds=rounds, **protocol_kwargs)
-        result = run_protocol(params)
+    for result in results:
+        params = result.params
         if objective == OBJECTIVE_CONSTRAINED:
             floor = _min_realized_fidelity(result)
             if floor is None or floor < min_fidelity:
@@ -204,7 +201,7 @@ def optimize_rounds(
             score = result.total_success * (pooled if pooled is not None else 0.0)
         if best is None or score > best.score:
             best = OptimizeOutcome(
-                rounds=rounds,
+                rounds=params.rounds,
                 l_z=params.l_z,
                 l_x=params.l_x,
                 score=score,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .states import (
     BellLabel,
     JointState,
     ParameterError,
+    check_count,
     check_probability,
     make_initial_state,
 )
@@ -85,8 +87,7 @@ class ProtocolParams:
             raise ParameterError(f"approach must be 'A' or 'B', got {self.approach!r}")
         for name in ("p_abs", "r_a1", "p_qnd", "p_dark", "p_loss", "detector_eff"):
             check_probability(name, getattr(self, name))
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ParameterError(f"rounds must be a positive integer, got {self.rounds!r}")
+        object.__setattr__(self, "rounds", check_count("rounds", self.rounds))
         if not math.isfinite(self.tau_cycle) or self.tau_cycle < 0:
             raise ParameterError(f"tau_cycle must be a nonnegative time, got {self.tau_cycle!r}")
         if not math.isfinite(self.t2) or self.t2 <= 0:
@@ -106,10 +107,8 @@ class ProtocolParams:
                     "approach B requires rounds = 2*l_x = 4*l_z, so rounds must be a"
                     " multiple of 4"
                 )
-            l_z = self.rounds // 4 if self.l_z is None else self.l_z
-            l_x = 2 * l_z if self.l_x is None else self.l_x
-            if not isinstance(l_z, int) or not isinstance(l_x, int) or l_z < 1:
-                raise ParameterError("flip periods must be positive integers")
+            l_z = self.rounds // 4 if self.l_z is None else check_count("l_z", self.l_z)
+            l_x = 2 * l_z if self.l_x is None else check_count("l_x", self.l_x)
             if self.rounds != 4 * l_z or self.rounds != 2 * l_x:
                 raise ParameterError(
                     f"approach B requires rounds = 2*l_x = 4*l_z; got rounds={self.rounds},"
@@ -307,16 +306,26 @@ def _aggregate_heralds(
     fidelity: dict[BellLabel, float | None] = {}
     success: dict[BellLabel, float] = {}
     for label in BellLabel:
-        weights = [h.weight for h in heralds if h.target is label]
-        total = sum(weights)
-        success[label] = total
-        if total > 0.0:
-            fidelity[label] = (
-                sum(h.weight * h.fidelity for h in heralds if h.target is label) / total
-            )
-        else:
-            fidelity[label] = None
+        mine = [h for h in heralds if h.target is label]
+        success[label] = total = sum(h.weight for h in mine)
+        fidelity[label] = sum(h.weight * h.fidelity for h in mine) / total if total > 0.0 else None
     return fidelity, success
+
+
+def _resolve_schedule(
+    params: ProtocolParams, schedule: tuple[FlipKind, ...] | None
+) -> tuple[FlipKind, ...]:
+    """The flip schedule of one run: build_schedule(params), or a checked override."""
+    if schedule is None:
+        return build_schedule(params)
+    schedule = tuple(schedule)
+    if len(schedule) != params.rounds:
+        raise ParameterError(
+            f"schedule length {len(schedule)} does not match rounds {params.rounds}"
+        )
+    if not all(isinstance(kind, FlipKind) for kind in schedule):
+        raise ParameterError("schedule entries must be FlipKind values")
+    return schedule
 
 
 def run_protocol(
@@ -327,17 +336,21 @@ def run_protocol(
     `schedule` overrides the approach's flip schedule (same length as
     rounds); the default is build_schedule(params).
     """
-    if schedule is None:
-        schedule = build_schedule(params)
-    else:
-        schedule = tuple(schedule)
-        if len(schedule) != params.rounds:
-            raise ParameterError(
-                f"schedule length {len(schedule)} does not match rounds {params.rounds}"
-            )
-        if not all(isinstance(kind, FlipKind) for kind in schedule):
-            raise ParameterError("schedule entries must be FlipKind values")
+    return next(_run_pass((params,), schedule))
 
+
+def _run_pass(
+    runs: Sequence[ProtocolParams], schedule: tuple[FlipKind, ...] | None = None
+) -> Iterator[ProtocolResult]:
+    """Evolve the last of `runs` once, yielding each run's result at its round count.
+
+    `runs` must ascend strictly in rounds and differ in nothing else, and each
+    run's schedule must be a prefix of the last one's, as in approach A.
+    """
+    params = runs[-1]
+    schedule = _resolve_schedule(params, schedule)
+    pending = iter(runs)
+    stop = next(pending)
     eta = params.eta_per_cycle
     state = make_initial_state()
     n_phase = 0
@@ -378,36 +391,38 @@ def run_protocol(
                 n_phase += 1
             if kind in (FlipKind.POLARISATION, FlipKind.BOTH):
                 n_pol += 1
+        if r != stop.rounds:
+            continue
 
-    false_negative = state.a2_population() * state.weight if not state.is_empty else 0.0
-    parity_success = 0.0
-    failure = 0.0
-    residual = 0.0
-    if params.approach == "A":
-        parity_records = final_parity_measurement(
-            state,
-            params.flip_observable,
-            params.detector_eff,
-            round_index=params.rounds,
-            flips_applied=(n_phase, n_pol),
+        false_negative = state.a2_population() * state.weight if not state.is_empty else 0.0
+        records = list(heralds)
+        parity_success = failure = residual = 0.0
+        if stop.approach == "A":
+            parity_records = final_parity_measurement(
+                state,
+                stop.flip_observable,
+                stop.detector_eff,
+                round_index=r,
+                flips_applied=(n_phase, n_pol),
+            )
+            records.extend(parity_records)
+            parity_success = sum(record.weight for record in parity_records)
+            failure = state.weight - parity_success
+        else:
+            residual = state.weight
+
+        fidelity_per_target, success_per_target = _aggregate_heralds(records)
+        yield ProtocolResult(
+            params=stop,
+            cumulative_success=tuple(cumulative),
+            herald_log=tuple(records),
+            total_success=clicks_so_far + parity_success,
+            parity_success=parity_success,
+            failure_weight=failure,
+            residual_weight=residual,
+            false_negative_weight=false_negative,
+            false_positive_weight=sum(record.false_weight for record in records),
+            fidelity_per_target=fidelity_per_target,
+            success_per_target=success_per_target,
         )
-        heralds.extend(parity_records)
-        parity_success = sum(record.weight for record in parity_records)
-        failure = state.weight - parity_success
-    else:
-        residual = state.weight
-
-    fidelity_per_target, success_per_target = _aggregate_heralds(heralds)
-    return ProtocolResult(
-        params=params,
-        cumulative_success=tuple(cumulative),
-        herald_log=tuple(heralds),
-        total_success=clicks_so_far + parity_success,
-        parity_success=parity_success,
-        failure_weight=failure,
-        residual_weight=residual,
-        false_negative_weight=false_negative,
-        false_positive_weight=sum(record.false_weight for record in heralds),
-        fidelity_per_target=fidelity_per_target,
-        success_per_target=success_per_target,
-    )
+        stop = next(pending, params)

@@ -30,6 +30,7 @@ derived from these definitions and pinned by unit tests.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -120,6 +121,18 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
+def check_count(name: str, value: int) -> int:
+    """A positive count: any integral type but bool, returned as a plain int."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+# the PSD check factors matrix - EIGENVALUE_FLOOR * I, which succeeds exactly
+# when the smallest eigenvalue is at least EIGENVALUE_FLOOR (up to rounding)
+_FLOOR_SHIFT = EIGENVALUE_FLOOR * np.eye(DIM_TOTAL)
+
+
 def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
     if matrix.shape != (DIM_TOTAL, DIM_TOTAL):
         raise StateValidationError(
@@ -141,9 +154,12 @@ def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
     trace = float(matrix.trace().real)
     if abs(trace - 1.0) > TRACE_ATOL:
         raise StateValidationError(f"state matrix trace is {trace!r}, expected 1")
-    smallest = float(np.linalg.eigvalsh(matrix)[0])
-    if smallest < EIGENVALUE_FLOOR:
-        raise StateValidationError(f"state matrix has negative eigenvalue {smallest:.3e}")
+    try:
+        np.linalg.cholesky(matrix - _FLOOR_SHIFT)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(matrix)[0])
+        if smallest < EIGENVALUE_FLOOR:
+            raise StateValidationError(f"state matrix has negative eigenvalue {smallest:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

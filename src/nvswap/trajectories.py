@@ -31,7 +31,7 @@ from .protocol import (
     HeraldType,
     ProtocolParams,
     _PARITY_TABLE,
-    build_schedule,
+    _resolve_schedule,
     epoch_target,
 )
 from .states import (
@@ -40,7 +40,7 @@ from .states import (
     DIM_TOTAL,
     SLOT_A2,
     BellLabel,
-    ParameterError,
+    check_count,
 )
 
 _J3_COLS = np.arange(DIM_PAIR13) * DIM_2P + 3
@@ -149,21 +149,10 @@ def run_trajectories(
     schedule: tuple[FlipKind, ...] | None = None,
 ) -> TrajectoryResult:
     """Sample n_trajectories independent runs and aggregate herald statistics."""
-    if n_trajectories < 1:
-        raise ParameterError("n_trajectories must be at least 1")
-    if schedule is None:
-        schedule = build_schedule(params)
-    else:
-        schedule = tuple(schedule)
-        if len(schedule) != params.rounds:
-            raise ParameterError(
-                f"schedule length {len(schedule)} does not match rounds {params.rounds}"
-            )
-        if not all(isinstance(kind, FlipKind) for kind in schedule):
-            raise ParameterError("schedule entries must be FlipKind values")
+    n = check_count("n_trajectories", n_trajectories)
+    schedule = _resolve_schedule(params, schedule)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n = int(n_trajectories)
     psi = _initial_amplitudes(n)
     alive = np.arange(n)
 

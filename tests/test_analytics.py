@@ -1,11 +1,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nvswap.protocol
 from nvswap.analytics import (
+    BoundInputs,
+    DEFAULT_MIN_FIDELITY,
     NoFeasibleRoundsError,
     OBJECTIVE_WEIGHTED,
     db_to_probability,
@@ -17,7 +21,10 @@ from nvswap.analytics import (
     probability_to_db,
     spectral_width,
 )
+from nvswap.protocol import ProtocolParams, run_protocol
 from nvswap.states import ParameterError
+
+from util import assert_results_identical
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 round_counts = st.integers(min_value=1, max_value=80)
@@ -95,6 +102,16 @@ class TestBoundFormulas:
             false_negative_bound(0.5, 0.99, 0)
         with pytest.raises(ParameterError):
             false_positive_bound(0.5, 2e-4, 2.5)
+        with pytest.raises(ParameterError):
+            false_positive_bound(0.5, 2e-4, True)
+
+    def test_accepts_integral_rounds(self):
+        inputs = BoundInputs(0.5, 0.99, 2e-4, np.int64(16))
+        assert type(inputs.rounds) is int
+        assert inputs == BoundInputs(0.5, 0.99, 2e-4, 16)
+        assert false_negative_bound(0.5, 0.99, np.int32(16)) == false_negative_bound(
+            0.5, 0.99, 16
+        )
 
     @given(p_abs=probabilities, p_qnd=probabilities, rounds=round_counts)
     @settings(max_examples=200, deadline=None)
@@ -208,6 +225,59 @@ class TestOptimizeRounds:
     def test_custom_candidates_are_respected(self):
         outcome = optimize_rounds("B", 0.9, p_loss=0.066, candidates=[8])
         assert outcome.rounds == 8
+
+    @pytest.mark.parametrize(
+        "approach,candidates",
+        [
+            ("A", [12, 4, 30, 4, 8]),
+            ("A", [70, 2, 66]),
+            ("B", [16, 4, 16, 8]),
+            ("B", [68, 8]),
+        ],
+    )
+    def test_custom_candidates_match_a_scan_of_separate_runs(self, approach, candidates):
+        kwargs = dict(p_loss=0.05, detector_eff=0.9, flip_observable="ZZ")
+        outcome = optimize_rounds(approach, 0.6, candidates=candidates, **kwargs)
+        # the scan as a plain loop of run_protocol calls, one per distinct candidate
+        best = None
+        for rounds in sorted(set(candidates)):
+            result = run_protocol(ProtocolParams(approach, p_abs=0.6, rounds=rounds, **kwargs))
+            fidelities = [f for f in result.fidelity_per_target.values() if f is not None]
+            if fidelities and min(fidelities) >= DEFAULT_MIN_FIDELITY[approach]:
+                if best is None or result.total_success > best.total_success:
+                    best = result
+        assert best is not None
+        assert outcome.rounds == best.params.rounds
+        assert outcome.score == best.total_success
+        assert outcome.result.params == best.params
+        assert_results_identical(outcome.result, best)
+
+    def test_odd_a_candidate_rejected(self):
+        with pytest.raises(ParameterError):
+            optimize_rounds("A", 0.5, p_loss=0.066, candidates=[4, 7, 10])
+
+    @pytest.mark.parametrize(
+        "approach,candidates,evolved",
+        [
+            ("A", None, 64),
+            ("A", [10, 4, 22], 22),
+            ("B", None, sum(range(4, 65, 4))),
+            ("B", [8, 4], 12),
+        ],
+    )
+    def test_absorption_rounds_evolved(self, monkeypatch, approach, candidates, evolved):
+        calls = []
+        absorb = nvswap.protocol.absorption_channel
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return absorb(*args, **kwargs)
+
+        monkeypatch.setattr(nvswap.protocol, "absorption_channel", counting)
+        optimize_rounds(
+            approach, 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED, candidates=candidates
+        )
+        assert len(calls) == evolved
 
     def test_unreachable_threshold_reported(self):
         with pytest.raises(NoFeasibleRoundsError):

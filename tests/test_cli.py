@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nvswap import cli
@@ -11,7 +12,7 @@ from nvswap.config import (
     parse_config_text,
 )
 from nvswap.protocol import ProtocolParams, run_protocol
-from nvswap.states import BellLabel, StateValidationError
+from nvswap.states import DIM_TOTAL, BellLabel, JointState, StateValidationError
 
 
 def write_config(tmp_path, name, text):
@@ -160,6 +161,24 @@ class TestCliErrors:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert "invariant" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_non_psd_state_exits_3(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG)
+        matrix = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        matrix[:2, :2] = [[0.5, 0.7], [0.7, 0.5]]  # eigenvalues 1.2 and -0.2
+
+        def non_psd_run(params):
+            return JointState(matrix, 1.0)
+
+        monkeypatch.setattr(cli, "run_protocol", non_psd_run)
+        assert cli.main(["run", "--config", cfg]) == 3
+        assert "negative eigenvalue" in capsys.readouterr().err
+
+    def test_negative_trajectory_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG)
+        assert cli.main(["run", "--config", cfg, "--trajectories", "-5"]) == 2
+        assert "n_trajectories" in capsys.readouterr().err
 
 
 class TestCliBounds:

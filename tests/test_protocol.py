@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvswap.channels import FlipKind
 from nvswap.protocol import (
     HeraldType,
     ProtocolParams,
+    _run_pass,
     build_schedule,
     epoch_target,
     final_parity_measurement,
@@ -17,6 +20,8 @@ from nvswap.states import (
     ParameterError,
     basis_index,
 )
+
+from util import assert_results_identical
 
 
 def ideal_params(approach: str, rounds: int, **overrides) -> ProtocolParams:
@@ -67,6 +72,27 @@ class TestProtocolParams:
             ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=-1e-9)
         with pytest.raises(ParameterError):
             ProtocolParams("A", p_abs=0.5, rounds=4, flip_observable="YY")
+
+    def test_integral_counts_stored_as_int(self):
+        params = ProtocolParams("B", p_abs=0.5, rounds=np.int64(16), l_z=np.int32(4))
+        assert type(params.rounds) is int and type(params.l_z) is int
+        assert params == ProtocolParams("B", p_abs=0.5, rounds=16, l_z=4)
+        assert hash(params) == hash(ProtocolParams("B", p_abs=0.5, rounds=16))
+        a = ProtocolParams("A", p_abs=0.5, rounds=np.uint8(4))
+        assert type(a.rounds) is int and a.rounds == 4
+
+    @pytest.mark.parametrize("rounds", [True, 16.0, "16", np.float64(16.0), 0, -4])
+    def test_rejects_non_integral_or_bool_rounds(self, rounds):
+        with pytest.raises(ParameterError):
+            ProtocolParams("B", p_abs=0.5, rounds=rounds)
+
+    def test_rejects_non_integral_flip_periods(self):
+        with pytest.raises(ParameterError):
+            ProtocolParams("B", p_abs=0.5, rounds=4, l_z=True)
+        with pytest.raises(ParameterError):
+            ProtocolParams("B", p_abs=0.5, rounds=16, l_z=4.0)
+        with pytest.raises(ParameterError):
+            ProtocolParams("B", p_abs=0.5, rounds=16, l_x=8.0)
 
     def test_eta_per_cycle(self):
         params = ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=200e-9, t2=100e-6)
@@ -310,3 +336,36 @@ class TestNoisyRuns:
         assert diagonal is not None
         assert diagonal.sum() == pytest.approx(1.0, abs=1e-10)
         assert diagonal[0] == pytest.approx(result.pooled_fidelity(), rel=1e-12)
+
+
+# approach A over every even round count up to 64, from one pass of the longest
+EVEN_ROUNDS = tuple(range(2, 65, 2))
+
+
+class TestPrefixPass:
+    @pytest.mark.parametrize("observable", ["XX", "ZZ"])
+    @given(
+        p_abs=st.floats(0.01, 1.0),
+        r_a1=st.floats(0.0, 0.01),
+        p_qnd=st.floats(0.8, 1.0),
+        p_dark=st.floats(0.0, 0.01),
+        p_loss=st.floats(0.001, 0.3),
+        detector_eff=st.floats(0.5, 0.999),
+        tau_cycle=st.floats(0.0, 2e-6),
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_a_prefixes_equal_separate_runs(self, observable, **kwargs):
+        runs = [
+            ProtocolParams("A", rounds=rounds, flip_observable=observable, **kwargs)
+            for rounds in EVEN_ROUNDS
+        ]
+        prefixes = list(_run_pass(runs))
+        assert [result.params for result in prefixes] == runs
+        for params, prefix in zip(runs, prefixes):
+            assert_results_identical(prefix, run_protocol(params))
+
+    def test_single_run_pass_is_run_protocol(self):
+        params = ProtocolParams("B", p_abs=0.4, rounds=8, p_loss=0.05, detector_eff=0.8)
+        (only,) = _run_pass([params])
+        assert only.params is params
+        assert_results_identical(only, run_protocol(params))

@@ -5,6 +5,7 @@ from nvswap.states import (
     DIM_TOTAL,
     SLOT_A1,
     SLOT_A2,
+    EIGENVALUE_FLOOR,
     BellLabel,
     JointState,
     ParameterError,
@@ -94,6 +95,32 @@ class TestJointStateValidation:
         matrix[1, 1] = -0.5
         with pytest.raises(StateValidationError):
             JointState(matrix, 1.0)
+
+    @staticmethod
+    def rotated_state_matrix(rng, smallest: float) -> np.ndarray:
+        """A dense unit-trace Hermitian matrix whose smallest eigenvalue is `smallest`."""
+        g = rng.standard_normal((DIM_TOTAL, DIM_TOTAL)) + 1j * rng.standard_normal(
+            (DIM_TOTAL, DIM_TOTAL)
+        )
+        unitary, _ = np.linalg.qr(g)
+        spectrum = rng.uniform(0.5, 1.5, DIM_TOTAL)
+        spectrum *= (1.0 - smallest) / spectrum[1:].sum()
+        spectrum[0] = smallest
+        matrix = unitary @ np.diag(spectrum) @ unitary.conj().T
+        return (matrix + matrix.conj().T) / 2.0
+
+    @pytest.mark.parametrize("smallest", [-2e-10, -1e-3, -0.5])
+    def test_rotated_matrix_below_floor_rejected(self, rng, smallest):
+        matrix = self.rotated_state_matrix(rng, smallest)
+        assert np.linalg.eigvalsh(matrix)[0] < EIGENVALUE_FLOOR
+        with pytest.raises(StateValidationError, match="negative eigenvalue"):
+            JointState(matrix, 1.0)
+
+    @pytest.mark.parametrize("smallest", [-0.5e-10, 0.0, 1e-3])
+    def test_rotated_matrix_at_or_above_floor_accepted(self, rng, smallest):
+        matrix = self.rotated_state_matrix(rng, smallest)
+        assert np.linalg.eigvalsh(matrix)[0] >= EIGENVALUE_FLOOR
+        JointState(matrix, 1.0)
 
     def test_rejects_negative_or_oversized_weight(self, rng):
         good = random_joint_state(rng).matrix

@@ -147,6 +147,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             run_trajectories(ideal_params("B", 4), 0, seed=1)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "10", -3])
+    def test_rejects_non_integral_or_bool_count(self, count):
+        with pytest.raises(ParameterError):
+            run_trajectories(ideal_params("B", 4), count, seed=1)
+
+    def test_accepts_integral_count(self):
+        a = run_trajectories(ideal_params("B", 4), np.int64(50), seed=1)
+        b = run_trajectories(ideal_params("B", 4), 50, seed=1)
+        assert type(a.n_trajectories) is int
+        assert a == b
+
     def test_rejects_bad_schedule(self):
         params = ideal_params("B", 4)
         with pytest.raises(ParameterError):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
+from nvswap.protocol import ProtocolResult
 from nvswap.states import DIM_TOTAL, JointState
 
 # Bell change-of-basis matrix: columns are phi+, phi-, psi+, psi- expressed in
@@ -47,3 +50,19 @@ def random_pure_state(rng: np.random.Generator, weight: float = 1.0) -> JointSta
 def assert_states_close(a: JointState, b: JointState, atol: float = 1e-12) -> None:
     assert abs(a.weight - b.weight) <= atol, f"weights differ: {a.weight} vs {b.weight}"
     assert np.abs(a.matrix - b.matrix).max() <= atol
+
+
+def assert_results_identical(a: ProtocolResult, b: ProtocolResult) -> None:
+    """Every ProtocolResult field and every HeraldRecord field equal with ==,
+    conditional matrices entry by entry."""
+    for field in dataclasses.fields(ProtocolResult):
+        if field.name != "herald_log":
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+    assert len(a.herald_log) == len(b.herald_log)
+    for x, y in zip(a.herald_log, b.herald_log):
+        for field in dataclasses.fields(x):
+            got, want = getattr(x, field.name), getattr(y, field.name)
+            if field.name == "conditional_13":
+                assert np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
