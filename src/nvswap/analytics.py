@@ -179,7 +179,7 @@ def optimize_rounds(
     if candidates is None:
         scan: Sequence[int] = _candidate_rounds(approach)
     else:
-        scan = sorted(set(int(c) for c in candidates))
+        scan = sorted(set(check_count("candidate", c) for c in candidates))
         if not scan:
             raise ParameterError("candidates must be a nonempty collection")
     if min_fidelity is None:

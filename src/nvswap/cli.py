@@ -94,10 +94,11 @@ def cmd_run(options: dict[str, str], args: argparse.Namespace) -> str:
     if seed is None and "seed" in options:
         seed = get_int(options, "seed")
 
-    result = run_protocol(params)
+    # the sampler checks its count before any work, so it runs first
     sampled = (
-        run_trajectories(params, trajectories, seed) if trajectories else None
+        run_trajectories(params, trajectories, seed) if trajectories is not None else None
     )
+    result = run_protocol(params)
 
     header = ("round", "cumulative_success") + FIDELITY_COLUMNS
     if sampled is not None:

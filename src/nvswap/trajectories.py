@@ -4,9 +4,15 @@ Runs the same five-step cycle as `run_protocol`, but as a stochastic
 unraveling over pure-state trajectories: every channel becomes a random
 event (transfer attempt, detector click, photon loss, dephasing kick) whose
 branch probabilities follow the Born rule, so ensemble averages converge to
-the deterministic weights.  Amplitudes for all live trajectories are kept in
-one (n, 32) array and every step is applied with boolean masks, which keeps
-1e5 trajectories per run well under a second.
+the deterministic weights.  Every operator is a signed permutation, a
+projection or a real Kraus map, so the amplitudes of all trajectories are
+real and kept in one (n, 32) float64 array.  The scheduled flips, which act
+on every live row, are not applied to it: they are composed into one
+signed-permutation frame (`_Frame`) through which each step reads and writes
+the columns it needs, and rows are converted to the true basis only where
+whole rows are read (clicks, photon loss, the final parity stage).  The
+arithmetic and the draws from the generator are those of a true-basis loop,
+so a seed fixes the result.
 
 The dynamics here deliberately share only the basis tables with
 `channels.py`; branch bookkeeping, collapse logic, and estimators are written
@@ -62,10 +68,42 @@ _KIND_BY_CODE = {
 
 
 def _initial_amplitudes(n: int) -> np.ndarray:
-    amps = np.zeros((n, DIM_TOTAL), dtype=np.complex128)
+    amps = np.zeros((n, DIM_TOTAL))
     for label in BellLabel:
         amps[:, label.value * DIM_2P + label.toggle_family().value] = 0.5
     return amps
+
+
+class _Frame:
+    """The scheduled flips so far, as one signed permutation of the columns.
+
+    Stored amplitudes relate to the true ones by
+    true[:, perm[k]] = sign[k] * stored[:, k].
+    """
+
+    def __init__(self) -> None:
+        self.perm = np.arange(DIM_TOTAL)
+        self.sign = np.ones(DIM_TOTAL)
+        self.inv = np.arange(DIM_TOTAL)
+
+    def compose(self, table: tuple[np.ndarray, np.ndarray]) -> None:
+        """Follow the frame by the flip true[:, t_perm[c]] <- t_sign[c] * true[:, c]."""
+        t_perm, t_sign = table
+        self.sign = t_sign[self.perm] * self.sign
+        self.perm = t_perm[self.perm]
+        self.inv[self.perm] = np.arange(DIM_TOTAL)
+
+    def conjugate(self, table: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The table acting on stored columns as `table` acts on true ones."""
+        t_perm, t_sign = table
+        perm = self.inv[t_perm[self.perm]]
+        return perm, self.sign[perm] * t_sign[self.perm] * self.sign
+
+    def to_true(self, stored: np.ndarray) -> np.ndarray:
+        return np.take(stored, self.inv, axis=1) * self.sign[self.inv]
+
+    def from_true(self, true: np.ndarray) -> np.ndarray:
+        return np.take(true, self.perm, axis=1) * self.sign
 
 
 def _collapse_keep(psi: np.ndarray, rows: np.ndarray, cols: np.ndarray, norm_sq: np.ndarray) -> None:
@@ -74,13 +112,14 @@ def _collapse_keep(psi: np.ndarray, rows: np.ndarray, cols: np.ndarray, norm_sq:
     keep[cols] = True
     sub = psi[rows]
     sub[:, ~keep] = 0.0
-    psi[rows] = sub / np.sqrt(norm_sq)[:, None]
+    psi[rows] = sub * (1.0 / np.sqrt(norm_sq))[:, None]
 
 
-def _collapse_drop(psi: np.ndarray, rows: np.ndarray, cols: np.ndarray, norm_sq: np.ndarray) -> None:
-    sub = psi[rows]
-    sub[:, cols] = 0.0
-    psi[rows] = sub / np.sqrt(norm_sq)[:, None]
+def _renormalize(psi: np.ndarray, rows: np.ndarray, norm_sq: np.ndarray) -> None:
+    """Scale the selected rows by 1/sqrt(norm_sq) in place, skipping factors of exactly 1.0."""
+    factor = 1.0 / np.sqrt(norm_sq)
+    scaled = factor != 1.0
+    psi[rows[scaled]] *= factor[scaled, None]
 
 
 def _apply_table(psi: np.ndarray, rows: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> None:
@@ -90,10 +129,10 @@ def _apply_table(psi: np.ndarray, rows: np.ndarray, table: tuple[np.ndarray, np.
     psi[rows] = out
 
 
-def _target_fidelities(psi: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    blocks = np.abs(psi.reshape(len(psi), DIM_PAIR13, DIM_2P)) ** 2
-    per_label = blocks.sum(axis=2)
-    return per_label[np.arange(len(psi)), targets]
+def _target_fidelities(psi: np.ndarray, target: BellLabel) -> np.ndarray:
+    """Weight of each row on the target's pair-13 block (true basis)."""
+    block = psi[:, target.value * DIM_2P : (target.value + 1) * DIM_2P]
+    return (block**2).sum(axis=1)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -154,10 +193,10 @@ def run_trajectories(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     psi = _initial_amplitudes(n)
+    frame = _Frame()
     alive = np.arange(n)
 
     herald_kind = np.zeros(n, dtype=np.int8)
-    herald_round = np.zeros(n, dtype=np.int32)
     herald_target = np.full(n, -1, dtype=np.int8)
     herald_fidelity = np.zeros(n, dtype=float)
     herald_false = np.zeros(n, dtype=bool)
@@ -169,6 +208,8 @@ def run_trajectories(
     n_phase = 0
     n_pol = 0
 
+    # psi rows are indexed by trajectory id and never compacted; every draw
+    # of size m covers the live ids in `alive`, in order
     for r in range(1, params.rounds + 1):
         m = len(alive)
         if m == 0:
@@ -181,97 +222,96 @@ def run_trajectories(
         ):
             if p_attempt <= 0.0:
                 continue
-            u = rng.random(m)
-            attempt = np.flatnonzero(u < p_attempt)
+            attempt = alive[rng.random(m) < p_attempt]
             if len(attempt) == 0:
                 continue
-            pop = np.abs(psi[attempt][:, src_cols]) ** 2
-            pop = pop.sum(axis=1)
-            v = rng.random(len(attempt))
-            hit = v < pop
-            hit_rows = attempt[hit]
-            if len(hit_rows):
-                sub = psi[hit_rows]
-                moved = np.zeros_like(sub)
-                moved[:, dst_cols] = sub[:, src_cols]
-                psi[hit_rows] = moved / np.sqrt(pop[hit])[:, None]
-            miss_rows = attempt[~hit]
-            if len(miss_rows):
-                _collapse_drop(psi, miss_rows, src_cols, 1.0 - pop[~hit])
+            src = frame.inv[src_cols]
+            dst = frame.inv[dst_cols]
+            pop = (psi[attempt[:, None], src] ** 2).sum(axis=1)
+            hit = rng.random(len(attempt)) < pop
+            hit_ids = attempt[hit]
+            if len(hit_ids):
+                moved = psi[hit_ids[:, None], src] * (frame.sign[src] * frame.sign[dst])
+                psi[hit_ids] = 0.0
+                psi[hit_ids[:, None], dst] = moved
+                _renormalize(psi, hit_ids, pop[hit])
+            miss_ids = attempt[~hit]
+            if len(miss_ids):
+                psi[miss_ids[:, None], src] = 0.0
+                _renormalize(psi, miss_ids, 1.0 - pop[~hit])
 
         # herald measurement: collapse onto/off the a2 slot, then the detector fires
-        p2 = (np.abs(psi[:, _A2_COLS]) ** 2).sum(axis=1)
+        a2 = frame.inv[_A2_COLS]
+        a2_amps = psi[alive[:, None], a2]
+        p2 = (a2_amps**2).sum(axis=1)
         in_a2 = rng.random(m) < p2
-        rows_in = np.flatnonzero(in_a2)
-        rows_out = np.flatnonzero(~in_a2)
-        if len(rows_in):
-            _collapse_keep(psi, rows_in, _A2_COLS, p2[rows_in])
-        if len(rows_out):
-            _collapse_drop(psi, rows_out, _A2_COLS, 1.0 - p2[rows_out])
+        if in_a2.any():
+            _collapse_keep(psi, alive[in_a2], a2, p2[in_a2])
+        # rows off a2 that hold no a2 amplitude are left as they are
+        off = ~in_a2 & a2_amps.any(axis=1)
+        if off.any():
+            off_ids = alive[off]
+            psi[off_ids[:, None], a2] = 0.0
+            _renormalize(psi, off_ids, 1.0 - p2[off])
         c = rng.random(m)
         clicked = np.where(in_a2, c < params.p_qnd, c < params.p_dark)
-        rows_clicked = np.flatnonzero(clicked)
-        if len(rows_clicked):
+        if clicked.any():
             target = epoch_target((n_phase, n_pol))
-            ids = alive[rows_clicked]
+            ids = alive[clicked]
             herald_kind[ids] = _HERALD_CLICK
-            herald_round[ids] = r
             herald_target[ids] = target.value
-            herald_fidelity[ids] = _target_fidelities(
-                psi[rows_clicked], np.full(len(rows_clicked), target.value)
-            )
-            herald_false[ids] = ~in_a2[rows_clicked]
-            clicks_by_round[r - 1] += len(rows_clicked)
-            keep = ~clicked
-            psi = psi[keep]
-            alive = alive[keep]
+            herald_fidelity[ids] = _target_fidelities(frame.to_true(psi[ids]), target)
+            herald_false[ids] = ~in_a2[clicked]
+            clicks_by_round[r - 1] += len(ids)
+            alive = alive[~clicked]
             m = len(alive)
             if m == 0:
                 break
 
-        # photon loss: three-outcome collapse on the attempting rows
+        # photon loss: three-outcome collapse on the attempting rows, in the true basis
         if params.p_loss > 0.0:
-            attempt = np.flatnonzero(rng.random(m) < params.p_loss)
+            attempt = alive[rng.random(m) < params.p_loss]
             if len(attempt):
-                sub = psi[attempt]
+                sub = frame.to_true(psi[attempt])
                 a_plus = sub @ LOSS_KRAUS[0].T
                 a_minus = sub @ LOSS_KRAUS[1].T
-                q_plus = (np.abs(a_plus) ** 2).sum(axis=1)
-                q_minus = (np.abs(a_minus) ** 2).sum(axis=1)
+                q_plus = (a_plus**2).sum(axis=1)
+                q_minus = (a_minus**2).sum(axis=1)
                 v = rng.random(len(attempt))
                 pick_plus = v < q_plus
                 pick_minus = (~pick_plus) & (v < q_plus + q_minus)
                 pick_gone = ~(pick_plus | pick_minus)
-                if pick_plus.any():
-                    rows = attempt[pick_plus]
-                    psi[rows] = a_plus[pick_plus] / np.sqrt(q_plus[pick_plus])[:, None]
-                if pick_minus.any():
-                    rows = attempt[pick_minus]
-                    psi[rows] = a_minus[pick_minus] / np.sqrt(q_minus[pick_minus])[:, None]
+                for pick, branch, q in ((pick_plus, a_plus, q_plus), (pick_minus, a_minus, q_minus)):
+                    if pick.any():
+                        psi[attempt[pick]] = frame.from_true(
+                            branch[pick] * (1.0 / np.sqrt(q[pick]))[:, None]
+                        )
                 if pick_gone.any():
-                    rows = attempt[pick_gone]
                     q_gone = 1.0 - q_plus[pick_gone] - q_minus[pick_gone]
-                    _collapse_keep(psi, rows, _GONE_COLS, q_gone)
+                    _collapse_keep(psi, attempt[pick_gone], frame.inv[_GONE_COLS], q_gone)
 
         # dephasing: independent bit-flip kicks per spin
         if p_kick > 0.0:
             for site in ALL_SPINS:
-                rows = np.flatnonzero(rng.random(m) < p_kick)
-                if len(rows):
-                    _apply_table(psi, rows, DEPHASING_TABLES[site])
+                kicked = alive[rng.random(m) < p_kick]
+                if len(kicked):
+                    _apply_table(psi, kicked, frame.conjugate(DEPHASING_TABLES[site]))
 
         kind = schedule[r - 1]
         if kind is not FlipKind.NONE:
-            _apply_table(psi, np.arange(m), FLIP_TABLES[kind])
+            frame.compose(FLIP_TABLES[kind])
             if kind in (FlipKind.PHASE, FlipKind.BOTH):
                 n_phase += 1
             if kind in (FlipKind.POLARISATION, FlipKind.BOTH):
                 n_pol += 1
 
+    # from here on psi holds the live rows, in order and in the true basis
+    psi = frame.to_true(psi[alive])
+
     # unheralded trajectories: a2 weight still on board counts as missed
     false_negative = 0.0
     if len(alive):
-        false_negative = float((np.abs(psi[:, _A2_COLS]) ** 2).sum()) / n
+        false_negative = float((psi[:, _A2_COLS] ** 2).sum()) / n
 
     parity_count = 0
     failure_count = 0
@@ -281,8 +321,8 @@ def run_trajectories(
         even_cols = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(even_slots)).reshape(-1)
         odd_cols = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(odd_slots)).reshape(-1)
         m = len(alive)
-        q_even = (np.abs(psi[:, even_cols]) ** 2).sum(axis=1)
-        q_odd = (np.abs(psi[:, odd_cols]) ** 2).sum(axis=1)
+        q_even = (psi[:, even_cols] ** 2).sum(axis=1)
+        q_odd = (psi[:, odd_cols] ** 2).sum(axis=1)
         v = rng.random(m)
         pick_even = v < q_even
         pick_odd = (~pick_even) & (v < q_even + q_odd)
@@ -297,11 +337,8 @@ def run_trajectories(
             _collapse_keep(psi, rows, cols, q[rows])
             ids = alive[rows]
             herald_kind[ids] = code
-            herald_round[ids] = params.rounds
             herald_target[ids] = target.value
-            herald_fidelity[ids] = _target_fidelities(
-                psi[rows], np.full(len(rows), target.value)
-            )
+            herald_fidelity[ids] = _target_fidelities(psi[rows], target)
             parity_count += len(rows)
         failure_count = m - parity_count
         residual_count = 0

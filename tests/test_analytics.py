@@ -256,6 +256,19 @@ class TestOptimizeRounds:
         with pytest.raises(ParameterError):
             optimize_rounds("A", 0.5, p_loss=0.066, candidates=[4, 7, 10])
 
+    @pytest.mark.parametrize("approach", ["A", "B"])
+    @pytest.mark.parametrize("bad", [10.7, 8.0, True, "8", 0])
+    def test_non_integral_or_bool_candidate_rejected(self, approach, bad):
+        with pytest.raises(ParameterError, match="candidate"):
+            optimize_rounds(approach, 0.5, p_loss=0.066, candidates=[4, bad])
+
+    def test_integral_candidates_accepted(self):
+        outcome = optimize_rounds("B", 0.9, p_loss=0.066, candidates=[np.int64(8)])
+        plain = optimize_rounds("B", 0.9, p_loss=0.066, candidates=[8])
+        assert type(outcome.rounds) is int
+        assert outcome.rounds == plain.rounds == 8
+        assert_results_identical(outcome.result, plain.result)
+
     @pytest.mark.parametrize(
         "approach,candidates,evolved",
         [

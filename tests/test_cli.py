@@ -180,6 +180,23 @@ class TestCliErrors:
         assert cli.main(["run", "--config", cfg, "--trajectories", "-5"]) == 2
         assert "n_trajectories" in capsys.readouterr().err
 
+    def test_zero_trajectory_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG)
+        engine_runs = []
+        monkeypatch.setattr(cli, "run_protocol", engine_runs.append)
+        assert cli.main(["run", "--config", cfg, "--trajectories", "0"]) == 2
+        assert engine_runs == []  # rejected before any computation
+        captured = capsys.readouterr()
+        assert "n_trajectories" in captured.err
+        assert captured.out == ""
+
+    def test_zero_trajectory_config_key_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG + "trajectories = 0\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "n_trajectories" in captured.err
+        assert captured.out == ""
+
 
 class TestCliBounds:
     def test_table_and_degenerate_row(self, tmp_path, capsys):

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nvswap.channels import FlipKind
+from nvswap.channels import ALL_SPINS, DEPHASING_TABLES, FLIP_TABLES, FlipKind
 from nvswap.protocol import HeraldType, ProtocolParams, run_protocol
-from nvswap.states import BellLabel, ParameterError
-from nvswap.trajectories import run_trajectories
+from nvswap.states import DIM_TOTAL, BellLabel, ParameterError
+from nvswap.trajectories import _apply_table, _Frame, run_trajectories
 
 
 def ideal_params(approach: str, rounds: int, **overrides) -> ProtocolParams:
@@ -172,3 +172,112 @@ class TestValidation:
             result.cumulative_success[0], abs=1e-12
         )
         assert 0.15 < result.total_success < 0.35
+
+
+P, Z, BOTH, NONE = FlipKind.PHASE, FlipKind.POLARISATION, FlipKind.BOTH, FlipKind.NONE
+
+# Output of fixed (params, seed) runs, recorded before the sampler moved to real
+# amplitudes and a flip frame.  Counts are exact; a change to how the sampler
+# draws from its generator, or to any branch decision, shows up here.  Fidelity
+# tuples are (phi+, phi-, psi+, psi-, pooled).
+PINNED_RUNS = [
+    pytest.param(
+        dict(approach="A", p_abs=0.2, rounds=64, p_loss=0.066),
+        None,
+        101,
+        [160, 153, 118, 98, 71, 69, 58, 36, 28, 24, 19, 24, 22, 14, 14, 11,
+         7, 5, 7, 2, 6, 5, 3, 4, 0, 5, 2, 2, 1, 0, 2, 1,
+         1, 3, 0, 1, 3, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1,
+         0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 2, 0, 0],
+        (989, 9, 8),
+        28,
+        (0.965337643678161, 0.9661904761904762, 1.0, 1.0, 0.9663684559310802),
+        0.0,
+        id="A-XX-L64",
+    ),
+    pytest.param(
+        # tau_cycle = 20 us: dephasing kicks fire every round, half of them
+        # after an odd number of polarisation flips
+        dict(approach="A", p_abs=0.3, rounds=20, p_loss=0.05, tau_cycle=20e-6,
+             flip_observable="ZZ", detector_eff=0.9),
+        None,
+        102,
+        [227, 250, 146, 138, 89, 89, 51, 46, 37, 29, 22, 22, 21, 17, 11, 6,
+         5, 4, 4, 4],
+        (1218, 215, 239),
+        13,
+        (0.5543933054393305, 0.8268080478520936, 0.5162790697674419,
+         0.8382920110192836, 0.7520933014354066),
+        0.0,
+        id="A-ZZ-kicks",
+    ),
+    pytest.param(
+        dict(approach="B", p_abs=0.5, rounds=16, r_a1=0.05, p_dark=0.01, p_loss=0.066,
+             tau_cycle=10e-6),
+        None,
+        103,
+        [374, 212, 103, 77, 259, 153, 78, 40, 207, 104, 57, 32, 103, 69, 33, 28],
+        (1929, 0, 0),
+        283,
+        (0.8006289308176101, 0.8646649260226282, 0.7839771101573676, 0.811875,
+         0.8263780888197685),
+        0.0003333333333333333,
+        id="B-leak-dark",
+    ),
+    pytest.param(
+        dict(approach="A", p_abs=0.25, rounds=8, p_loss=0.1, tau_cycle=20e-6),
+        (P, Z, BOTH, NONE, BOTH, P, Z, Z),
+        104,
+        [194, 178, 153, 96, 67, 72, 97, 33],
+        (890, 428, 344),
+        2,
+        (0.9452247191011236, 0.8700854700854702, 0.6194486983154671,
+         0.645124716553288, 0.7199659045326915),
+        0.0,
+        id="A-mixed-schedule",
+    ),
+]
+
+
+class TestPinnedStream:
+    N = 3000
+
+    @pytest.mark.parametrize(
+        "overrides, schedule, seed, clicks, counts, false_clicks, fidelities, false_negative",
+        PINNED_RUNS,
+    )
+    def test_same_seed_gives_the_recorded_run(
+        self, overrides, schedule, seed, clicks, counts, false_clicks, fidelities, false_negative
+    ):
+        n = self.N
+        result = run_trajectories(ProtocolParams(**overrides), n, seed, schedule=schedule)
+        herald_counts = tuple(result.herald_counts[kind] for kind in HeraldType)
+        assert herald_counts == counts
+        assert result.cumulative_success == tuple(np.cumsum(clicks) / n)
+        assert result.total_success == sum(counts) / n
+        assert result.parity_success == (counts[1] + counts[2]) / n
+        assert result.false_positive_fraction == false_clicks / n
+        sampled = tuple(result.fidelity_per_target[label] for label in BellLabel)
+        sampled += (result.pooled_fidelity,)
+        assert sampled == pytest.approx(fidelities, abs=1e-12)
+        assert result.false_negative_estimate == pytest.approx(false_negative, abs=1e-12)
+
+
+class TestFlipFrame:
+    def test_frame_tracks_flips_applied_to_the_data(self):
+        rng = np.random.default_rng(61)
+        stored = rng.standard_normal((6, DIM_TOTAL))
+        rows = np.arange(len(stored))
+        true = stored.copy()
+        frame = _Frame()
+        for kind in (P, Z, Z, BOTH, P, BOTH, BOTH, Z, P):
+            _apply_table(true, rows, FLIP_TABLES[kind])
+            frame.compose(FLIP_TABLES[kind])
+            assert np.array_equal(frame.to_true(stored), true)
+            assert np.array_equal(frame.from_true(true), stored)
+            for site in ALL_SPINS:
+                kicked_true = true.copy()
+                _apply_table(kicked_true, rows, DEPHASING_TABLES[site])
+                kicked = stored.copy()
+                _apply_table(kicked, rows, frame.conjugate(DEPHASING_TABLES[site]))
+                assert np.array_equal(frame.to_true(kicked), kicked_true)
