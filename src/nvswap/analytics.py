@@ -14,7 +14,8 @@ photon-lost weight.
 
 `optimize_rounds` scores every allowed round count with the full protocol
 engine.  Approach A flips the same way every round, so one pass of its
-longest candidate yields every candidate; approach B runs each separately.
+longest candidate yields every candidate; approach B runs each separately,
+on one compiled engine, since only the round count and schedule differ.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ def optimize_rounds(
             raise ParameterError("candidates must be a nonempty collection")
     if min_fidelity is None:
         min_fidelity = DEFAULT_MIN_FIDELITY.get(approach, 0.0)
+    min_fidelity = check_probability("min_fidelity", min_fidelity)
 
     runs = [ProtocolParams(approach, p_abs=p_abs, rounds=r, **protocol_kwargs) for r in scan]
     # approach A's runs are prefixes of its longest; B's schedules differ per L

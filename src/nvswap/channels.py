@@ -19,11 +19,18 @@ spin) map, on the Bell pair containing that spin:
 
     first qubit:  phi+ <-> psi+ (+), phi- <-> psi- (-)
     second qubit: phi+ <-> psi+ (+), phi- <-> psi- (+)
+
+Each channel is written down once, as weighted real Kraus terms
+rho -> sum_k w_k K_k rho K_k^T (`absorption_terms`, `qnd_terms`,
+`loss_terms`, `dephasing_terms`, `flip_terms`).  The JointState functions
+below apply those terms to one branch and are the readable spec; the
+protocol engine lifts the same terms to superoperators.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -130,30 +137,105 @@ def _loss_kraus() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 LOSS_KRAUS = _loss_kraus()
 
+# weighted real Kraus terms (w_k, K_k) of a map rho -> sum_k w_k K_k rho K_k^T
+Terms = tuple[tuple[float, np.ndarray], ...]
 
-def apply_signed_permutation(matrix: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Conjugate by the unitary U|k> = sign[k] |perm[k]>."""
-    phased = matrix * np.outer(sign, sign)
-    out = np.empty_like(matrix)
-    out[np.ix_(perm, perm)] = phased
-    return out
+IDENTITY = np.eye(DIM_TOTAL)
+
+
+def signed_permutation_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The real unitary U|k> = sign[k] |perm[k]> of a signed permutation table."""
+    unitary = np.zeros((DIM_TOTAL, DIM_TOTAL))
+    unitary[perm, np.arange(DIM_TOTAL)] = sign
+    return unitary
 
 
 def _slot_indices(slot: int) -> np.ndarray:
     return np.arange(DIM_PAIR13) * DIM_2P + slot
 
 
-def _incoherent_transfer(matrix: np.ndarray, source: int, dest: int, p: float) -> np.ndarray:
-    """With probability p, move the source-slot block to the dest slot and cut
-    its coherences with everything else; with probability 1-p do nothing."""
-    src = _slot_indices(source)
-    dst = _slot_indices(dest)
-    kept = matrix.copy()
-    kept[src, :] = 0.0
-    kept[:, src] = 0.0
-    moved = np.zeros_like(matrix)
-    moved[np.ix_(dst, dst)] = matrix[np.ix_(src, src)]
-    return p * (moved + kept) + (1.0 - p) * matrix
+def _slot_projector(slot: int) -> np.ndarray:
+    projector = np.zeros((DIM_TOTAL, DIM_TOTAL))
+    idx = _slot_indices(slot)
+    projector[idx, idx] = 1.0
+    return projector
+
+
+def _transfer(source: int, dest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair of an incoherent jump: `move` carries the source-slot block
+    to the dest slot, `cut` drops the source slot and its coherences."""
+    move = np.zeros((DIM_TOTAL, DIM_TOTAL))
+    move[_slot_indices(dest), _slot_indices(source)] = 1.0
+    return move, IDENTITY - _slot_projector(source)
+
+
+# psi- (slot 3) drives the jump to A2, psi+ (slot 2) leaks to A1
+ABSORPTION_TRANSFERS = (_transfer(3, SLOT_A2), _transfer(2, SLOT_A1))
+A2_PROJECTOR = _slot_projector(SLOT_A2)
+A2_COMPLEMENT = IDENTITY - A2_PROJECTOR
+FLIP_UNITARIES = {kind: signed_permutation_matrix(*table) for kind, table in FLIP_TABLES.items()}
+DEPHASING_UNITARIES = {
+    site: signed_permutation_matrix(*table) for site, table in DEPHASING_TABLES.items()
+}
+
+
+def kraus_sum(matrix: np.ndarray, terms: Terms) -> np.ndarray:
+    """Apply weighted real Kraus terms: sum_k w_k K_k matrix K_k^T."""
+    return sum(w * (k @ matrix @ k.T) for w, k in terms)
+
+
+def absorption_terms(p_abs: float, r_a1: float) -> tuple[Terms, Terms]:
+    """The two incoherent transfers of one pass, in the order applied.
+
+    With probability p the source block jumps to the dest slot and loses its
+    coherences (Kraus pair move, cut); with probability 1-p nothing happens.
+    The psi- jump to A2 has p = p_abs, the psi+ leak to A1 p = p_abs * r_a1.
+    """
+    p_abs = check_probability("p_abs", p_abs)
+    r_a1 = check_probability("r_A1", r_a1)
+    return tuple(
+        ((p, move), (p, cut), (1.0 - p, IDENTITY))
+        for (move, cut), p in zip(ABSORPTION_TRANSFERS, (p_abs, p_abs * r_a1))
+    )
+
+
+def qnd_terms(p_qnd: float, p_dark: float) -> tuple[Terms, Terms]:
+    """(click, no-click) branches of the herald: the A2 block clicks with
+    probability p_qnd, everything outside A2 with p_dark; coherences between
+    the two are cut."""
+    p_qnd = check_probability("p_qnd", p_qnd)
+    p_dark = check_probability("p_dark", p_dark)
+    click = ((p_qnd, A2_PROJECTOR), (p_dark, A2_COMPLEMENT))
+    noclick = ((1.0 - p_qnd, A2_PROJECTOR), (1.0 - p_dark, A2_COMPLEMENT))
+    return click, noclick
+
+
+def loss_terms(p_loss: float) -> Terms:
+    """Keep the photon with probability 1-p_loss, else trace it out (LOSS_KRAUS)."""
+    p_loss = check_probability("p_loss", p_loss)
+    return ((1.0 - p_loss, IDENTITY),) + tuple((p_loss, k) for k in LOSS_KRAUS)
+
+
+def dephasing_terms(eta: float, site: SpinSite) -> Terms:
+    """Identity with probability (1+eta)/2, spin exchange on `site` otherwise."""
+    eta = check_probability("eta", eta)
+    return (((1.0 + eta) / 2.0, IDENTITY), ((1.0 - eta) / 2.0, DEPHASING_UNITARIES[site]))
+
+
+def flip_terms(kind: FlipKind) -> Terms:
+    """The photon flip as one unitary term."""
+    if not isinstance(kind, FlipKind):
+        raise TypeError(f"kind must be a FlipKind, got {kind!r}")
+    return ((1.0, IDENTITY if kind is FlipKind.NONE else FLIP_UNITARIES[kind]),)
+
+
+def _evolve(state: JointState, stages: Sequence[Terms]) -> JointState:
+    if state.is_empty:
+        return state
+    matrix = state.matrix
+    for terms in stages:
+        matrix = kraus_sum(matrix, terms)
+    return JointState(matrix, state.weight)
 
 
 def absorption_channel(state: JointState, p_abs: float, r_a1: float) -> JointState:
@@ -164,13 +246,7 @@ def absorption_channel(state: JointState, p_abs: float, r_a1: float) -> JointSta
     p_abs * r_a1.  Both transfers are incoherent jumps that carry the pair-13
     block along, so heralded entanglement survives absorption.
     """
-    p_abs = check_probability("p_abs", p_abs)
-    r_a1 = check_probability("r_A1", r_a1)
-    if state.is_empty:
-        return state
-    matrix = _incoherent_transfer(state.matrix, 3, SLOT_A2, p_abs)
-    matrix = _incoherent_transfer(matrix, 2, SLOT_A1, p_abs * r_a1)
-    return JointState(matrix, state.weight)
+    return _evolve(state, absorption_terms(p_abs, r_a1))
 
 
 def qnd_povm(
@@ -183,25 +259,16 @@ def qnd_povm(
     the two output branch weights sum to the input weight.  An impossible
     branch comes back empty rather than normalized.
     """
-    p_qnd = check_probability("p_qnd", p_qnd)
-    p_dark = check_probability("p_dark", p_dark)
+    click_terms, noclick_terms = qnd_terms(p_qnd, p_dark)
     if state.is_empty:
         return 0.0, JointState.empty(), JointState.empty()
-    a2 = _slot_indices(SLOT_A2)
-    projected = np.zeros_like(state.matrix)
-    projected[np.ix_(a2, a2)] = state.matrix[np.ix_(a2, a2)]
-    complement = state.matrix.copy()
-    complement[a2, :] = 0.0
-    complement[:, a2] = 0.0
-    p_a2 = float(projected.trace().real)
-    p_click = p_qnd * p_a2 + p_dark * (1.0 - p_a2)
-    click = JointState.from_unnormalized(
-        p_qnd * projected + p_dark * complement, state.weight
+    click = kraus_sum(state.matrix, click_terms)
+    noclick = kraus_sum(state.matrix, noclick_terms)
+    return (
+        float(click.trace().real),
+        JointState.from_unnormalized(click, state.weight),
+        JointState.from_unnormalized(noclick, state.weight),
     )
-    noclick = JointState.from_unnormalized(
-        (1.0 - p_qnd) * projected + (1.0 - p_dark) * complement, state.weight
-    )
-    return float(p_click), click, noclick
 
 
 def photon_loss_channel(state: JointState, p_loss: float) -> JointState:
@@ -211,17 +278,7 @@ def photon_loss_channel(state: JointState, p_loss: float) -> JointState:
     the bare spin slots and photon-carried coherence disappears.  The
     photon-gone sector rides through unchanged.
     """
-    p_loss = check_probability("p_loss", p_loss)
-    if state.is_empty:
-        return state
-    k_plus, k_minus, k_gone = LOSS_KRAUS
-    matrix = state.matrix
-    lost = (
-        k_plus @ matrix @ k_plus.T
-        + k_minus @ matrix @ k_minus.T
-        + k_gone @ matrix @ k_gone.T
-    )
-    return JointState((1.0 - p_loss) * matrix + p_loss * lost, state.weight)
+    return _evolve(state, [loss_terms(p_loss)])
 
 
 def dephasing_channel(
@@ -234,25 +291,13 @@ def dephasing_channel(
     A2/A1 populations carry no spin-qubit coherence and pass through.
     """
     eta = check_probability("eta", eta)
-    if state.is_empty:
-        return state
-    matrix = state.matrix
-    keep = (1.0 + eta) / 2.0
-    swap = (1.0 - eta) / 2.0
-    for site in targets:
-        perm, sign = DEPHASING_TABLES[site]
-        matrix = keep * matrix + swap * apply_signed_permutation(matrix, perm, sign)
-    return JointState(matrix, state.weight)
+    return _evolve(state, [dephasing_terms(eta, site) for site in targets])
 
 
 def flip_channel(state: JointState, kind: FlipKind) -> JointState:
     """Unitary photon flip on the photon-present sector; identity elsewhere."""
-    if not isinstance(kind, FlipKind):
-        raise TypeError(f"kind must be a FlipKind, got {kind!r}")
-    if kind is FlipKind.NONE or state.is_empty:
-        return state
-    perm, sign = FLIP_TABLES[kind]
-    return JointState(apply_signed_permutation(state.matrix, perm, sign), state.weight)
+    terms = flip_terms(kind)
+    return state if kind is FlipKind.NONE else _evolve(state, [terms])
 
 
 def photon_present_indices() -> np.ndarray:

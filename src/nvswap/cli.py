@@ -34,7 +34,7 @@ from .config import (
 )
 from .protocol import DEFAULT_P_DARK, DEFAULT_P_QND, HeraldType, run_protocol
 from .states import BellLabel, ParameterError, StateValidationError
-from .sweep import RelayChainSpec, compose_bell_diagonals, relay_chain, sweep
+from .sweep import RelayChainSpec, relay_chain, sweep
 from .trajectories import run_trajectories
 
 FIDELITY_COLUMNS = (
@@ -187,22 +187,7 @@ def cmd_chain(options: dict[str, str], args: argparse.Namespace) -> str:
         raise ConfigError(f"key 'hops' must be at least 1, got {hops}")
     params = build_protocol_params(options, args.approach)
     chain = relay_chain(RelayChainSpec.uniform(params, hops))
-
-    rows: list[tuple] = []
-    success = 1.0
-    diagonal = None
-    heraldless = False
-    for n, hop in enumerate(chain.hop_results, start=1):
-        success *= hop.total_success
-        heraldless = heraldless or hop.bell_diagonal is None
-        if not heraldless:
-            diagonal = (
-                hop.bell_diagonal.copy()
-                if diagonal is None
-                else compose_bell_diagonals(diagonal, hop.bell_diagonal)
-            )
-        fidelity = None if heraldless else float(diagonal[0])
-        rows.append((n, success, fidelity))
+    rows = list(zip(range(1, hops + 1), chain.success_prefix, chain.fidelity_prefix))
     return _csv(("hops", "chain_success", "chain_fidelity"), rows)
 
 

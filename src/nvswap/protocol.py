@@ -14,10 +14,28 @@ approaches are supported:
 
 Weights are conserved exactly: herald weights plus failure plus residual
 equal the initial weight to float precision.
+
+Engine.  Every channel is linear on the unnormalized density operator, and
+the evolving operator is real and nonzero on at most 104 of its 1024 entries
+(the initial pattern closed under every channel's Kraus operators).  So each
+parameter set compiles, from the weighted Kraus terms in `channels`, two real
+maps on that support: one reading the click branch's reduced pair-13 block,
+its weight and the A2 population off the absorbed state, and one no-click
+round map per flip kind (absorption, no-click, loss, dephasing, flip).  A
+round is two matrix-vector products.  The JointState channel functions stay
+the readable spec; the test suite runs a round loop on them as the oracle.
+
+Checks.  Every round: the click and no-click weights sum to the input weight
+within WEIGHT_ATOL, and the no-click state is symmetric within
+HERMITICITY_ATOL.  Every herald conditional: finite, Hermitian, unit trace
+and positive semidefinite (`states.check_density`), checked before the
+result that holds it is returned.  The final state: a full JointState.  A
+breach raises StateValidationError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +44,18 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .channels import (
+    ALL_SPINS,
     FlipKind,
+    Terms,
+    absorption_terms,
+    dephasing_terms,
+    flip_terms,
+    loss_terms,
+    qnd_terms,
+)
+
+# the JointState spec of a round, still importable from this module
+from .channels import (  # noqa: F401
     absorption_channel,
     dephasing_channel,
     flip_channel,
@@ -37,12 +66,18 @@ from .states import (
     BRANCH_WEIGHT_FLOOR,
     DIM_2P,
     DIM_PAIR13,
+    DIM_TOTAL,
+    HERMITICITY_ATOL,
+    SLOT_A2,
+    WEIGHT_ATOL,
     BellLabel,
     JointState,
     ParameterError,
+    StateValidationError,
     check_count,
+    check_density,
     check_probability,
-    make_initial_state,
+    initial_amplitudes,
 )
 
 DEFAULT_R_A1 = 1e-4
@@ -347,82 +382,230 @@ def _run_pass(
     `runs` must ascend strictly in rounds and differ in nothing else, and each
     run's schedule must be a prefix of the last one's, as in approach A.
     """
-    params = runs[-1]
-    schedule = _resolve_schedule(params, schedule)
-    pending = iter(runs)
-    stop = next(pending)
-    eta = params.eta_per_cycle
-    state = make_initial_state()
-    n_phase = 0
-    n_pol = 0
-    heralds: list[HeraldRecord] = []
-    cumulative: list[float] = []
-    clicks_so_far = 0.0
+    schedule = _resolve_schedule(runs[-1], schedule)
+    return _engine(runs[-1]).evolve(runs, schedule, _support().initial)
 
-    for r in range(1, params.rounds + 1):
-        state = absorption_channel(state, params.p_abs, params.r_a1)
-        pre_click_a2 = state.a2_population() if not state.is_empty else 0.0
-        pre_click_weight = state.weight
-        _, click, noclick = qnd_povm(state, params.p_qnd, params.p_dark)
-        if not click.is_empty:
-            target = epoch_target((n_phase, n_pol))
-            conditional = click.reduced_pair13()
-            heralds.append(
-                HeraldRecord(
-                    round=r,
-                    flips_applied=(n_phase, n_pol),
-                    herald_type=HeraldType.QND_CLICK,
-                    weight=click.weight,
-                    conditional_13=conditional,
-                    target=target,
-                    fidelity=float(np.real(conditional[target.value, target.value])),
-                    false_weight=params.p_dark * (1.0 - pre_click_a2) * pre_click_weight,
-                )
+
+class _Support:
+    """The reachable entries of the density matrix.
+
+    The initial state's nonzero pattern, closed under every Kraus operator of
+    every channel, holds 104 of the 1024 entries; the evolving matrix is real
+    and stays inside it.  A state is the real vector of those entries in
+    row-major order, with its weight folded in (trace = branch weight).
+    """
+
+    def __init__(self) -> None:
+        click, noclick = qnd_terms(0.5, 0.5)
+        channels = [*absorption_terms(0.5, 0.5), click, noclick, loss_terms(0.5)]
+        channels += [dephasing_terms(0.5, site) for site in ALL_SPINS]
+        channels += [flip_terms(kind) for kind in FlipKind]
+        operators = {id(k): k for terms in channels for _, k in terms}
+        amplitudes = initial_amplitudes()
+        initial = np.outer(amplitudes, amplitudes)
+        pattern = initial != 0.0
+        while True:
+            grown = pattern.copy()
+            for k in operators.values():
+                nonzero = (k != 0.0).astype(float)
+                grown |= nonzero @ pattern @ nonzero.T != 0.0
+            if np.array_equal(grown, pattern):
+                break
+            pattern = grown
+        rows, cols = np.nonzero(pattern)
+        self.rows, self.cols = rows, cols
+        self.initial = initial
+        self.trace = (rows == cols).astype(float)
+        position = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
+        self.transpose = np.array([position[c, r] for r, c in zip(rows, cols)])
+        pair_r, slot_r = np.divmod(rows, DIM_2P)
+        pair_c, slot_c = np.divmod(cols, DIM_2P)
+        # herald_rows: the partial trace over node2p (16 rows, the 4x4 block)
+        # and the trace; a2: the A2 population
+        same = np.flatnonzero(slot_r == slot_c)
+        self.herald_rows = np.zeros((DIM_PAIR13 * DIM_PAIR13 + 1, len(rows)))
+        self.herald_rows[pair_r[same] * DIM_PAIR13 + pair_c[same], same] = 1.0
+        self.herald_rows[-1] = self.trace
+        self.a2 = self.trace * (slot_r == SLOT_A2)
+        # K (x) K on the support, M[(a,b),(c,d)] = K[a,c] K[b,d], gathers
+        # K[rows_i, rows_j] and K[cols_i, cols_j]; the channels' operators are
+        # module constants, so each is lifted once and found by id (the
+        # entry keeps K alive, so no other array can take its id)
+        gather_rows = (rows[:, None] * DIM_TOTAL + rows[None, :]).ravel()
+        gather_cols = (cols[:, None] * DIM_TOTAL + cols[None, :]).ravel()
+        self._lifted = {}
+        for key, k in operators.items():
+            dense = k.take(gather_rows) * k.take(gather_cols)
+            where = np.flatnonzero(dense)
+            self._lifted[key] = (k, where, dense[where])
+
+    def lift(self, terms: Terms) -> np.ndarray:
+        """Superoperator of weighted Kraus terms of the channels on the support."""
+        n = len(self.rows)
+        out = np.zeros(n * n)
+        for w, k in terms:
+            _, where, values = self._lifted[id(k)]
+            out[where] += w * values
+        return out.reshape(n, n)
+
+
+_support = functools.cache(_Support)
+
+
+class _Engine:
+    """One parameter set's rounds, compiled to real maps on the support.
+
+    A round is absorption, the herald split, then on the no-click branch
+    photon loss, dephasing of all three spins and the scheduled flip.  Built
+    once per parameter set: `herald`, which reads the click branch's reduced
+    pair-13 block (16 rows), its weight and the A2 population off the absorbed
+    state, and per flip kind the no-click round map.  Both include the
+    absorption, so a round is two matrix-vector products.
+    """
+
+    def __init__(
+        self, p_abs: float, r_a1: float, p_qnd: float, p_dark: float, p_loss: float, eta: float
+    ) -> None:
+        support = _support()
+        absorb, leak = absorption_terms(p_abs, r_a1)
+        absorbed = support.lift(leak) @ support.lift(absorb)
+        click, noclick = qnd_terms(p_qnd, p_dark)
+        self.herald = np.vstack(
+            [support.herald_rows @ support.lift(click) @ absorbed, support.a2 @ absorbed]
+        )
+        base = support.lift(noclick) @ absorbed
+        for terms in [loss_terms(p_loss)] + [dephasing_terms(eta, site) for site in ALL_SPINS]:
+            base = support.lift(terms) @ base
+        self._maps = {FlipKind.NONE: base}
+
+    def round_map(self, kind: FlipKind) -> np.ndarray:
+        if kind not in self._maps:
+            self._maps[kind] = _support().lift(flip_terms(kind)) @ self._maps[FlipKind.NONE]
+        return self._maps[kind]
+
+    def step(self, state: np.ndarray, weight: float, kind: FlipKind, r: int):
+        """Round r on a support vector of the given weight.
+
+        Returns (click block, click weight, A2 population after absorption,
+        no-click state after the flip, its weight).  Checks that the two
+        branches carry the input weight and that the no-click state is
+        symmetric; a no-click weight at or below BRANCH_WEIGHT_FLOOR empties
+        the state.
+        """
+        support = _support()
+        heralds = self.herald @ state
+        out = self.round_map(kind) @ state
+        click = float(heralds[-2])
+        noclick = float(support.trace @ out)
+        if not abs(click + noclick - weight) <= WEIGHT_ATOL:
+            raise StateValidationError(
+                f"round {r} does not conserve weight: click {click!r} + no-click"
+                f" {noclick!r} != input {weight!r}"
             )
-            clicks_so_far += click.weight
-        cumulative.append(clicks_so_far)
-        state = noclick
-        state = photon_loss_channel(state, params.p_loss)
-        state = dephasing_channel(state, eta)
-        kind = schedule[r - 1]
-        if kind is not FlipKind.NONE:
-            state = flip_channel(state, kind)
+        block = heralds[:-2].reshape(DIM_PAIR13, DIM_PAIR13)
+        if noclick <= BRANCH_WEIGHT_FLOOR:
+            return block, click, heralds[-1], np.zeros_like(out), 0.0
+        asymmetry = np.abs(out - out[support.transpose]).max() / noclick
+        if asymmetry > HERMITICITY_ATOL:
+            raise StateValidationError(
+                f"state matrix is not Hermitian (max asymmetry {asymmetry:.3e})"
+            )
+        return block, click, heralds[-1], out, noclick
+
+    def evolve(
+        self, runs: Sequence[ProtocolParams], schedule: tuple[FlipKind, ...], rho: np.ndarray
+    ) -> Iterator[ProtocolResult]:
+        """The pass of `_run_pass`, started from the real matrix rho (trace = weight).
+
+        Herald conditionals are checked together before each result is
+        yielded; the final state is checked in full as a JointState.
+        """
+        support = _support()
+        pending = iter(runs)
+        stop = next(pending)
+        state = rho[support.rows, support.cols]
+        weight = float(support.trace @ state)
+        n_phase = 0
+        n_pol = 0
+        heralds: list[HeraldRecord] = []
+        checked = 0
+        cumulative: list[float] = []
+        clicks_so_far = 0.0
+
+        for r, kind in enumerate(schedule, start=1):
+            block, click, a2, next_state, next_weight = self.step(state, weight, kind, r)
+            if click > BRANCH_WEIGHT_FLOOR:
+                conditional = block / click
+                target = epoch_target((n_phase, n_pol))
+                heralds.append(
+                    HeraldRecord(
+                        round=r,
+                        flips_applied=(n_phase, n_pol),
+                        herald_type=HeraldType.QND_CLICK,
+                        weight=click,
+                        conditional_13=conditional,
+                        target=target,
+                        fidelity=float(conditional[target.value, target.value]),
+                        false_weight=stop.p_dark * (weight - a2),
+                    )
+                )
+                clicks_so_far += click
+            cumulative.append(clicks_so_far)
+            state, weight = next_state, next_weight
             if kind in (FlipKind.PHASE, FlipKind.BOTH):
                 n_phase += 1
             if kind in (FlipKind.POLARISATION, FlipKind.BOTH):
                 n_pol += 1
-        if r != stop.rounds:
-            continue
+            if r != stop.rounds:
+                continue
 
-        false_negative = state.a2_population() * state.weight if not state.is_empty else 0.0
-        records = list(heralds)
-        parity_success = failure = residual = 0.0
-        if stop.approach == "A":
-            parity_records = final_parity_measurement(
-                state,
-                stop.flip_observable,
-                stop.detector_eff,
-                round_index=r,
-                flips_applied=(n_phase, n_pol),
+            if checked < len(heralds):
+                check_density(np.array([h.conditional_13 for h in heralds[checked:]]))
+                checked = len(heralds)
+            matrix = np.zeros((DIM_TOTAL, DIM_TOTAL))
+            matrix[support.rows, support.cols] = state
+            final = JointState.from_unnormalized(matrix)
+            false_negative = final.a2_population() * final.weight if not final.is_empty else 0.0
+            records = list(heralds)
+            parity_success = failure = residual = 0.0
+            if stop.approach == "A":
+                parity_records = final_parity_measurement(
+                    final,
+                    stop.flip_observable,
+                    stop.detector_eff,
+                    round_index=r,
+                    flips_applied=(n_phase, n_pol),
+                )
+                records.extend(parity_records)
+                parity_success = sum(record.weight for record in parity_records)
+                failure = final.weight - parity_success
+            else:
+                residual = final.weight
+
+            fidelity_per_target, success_per_target = _aggregate_heralds(records)
+            yield ProtocolResult(
+                params=stop,
+                cumulative_success=tuple(cumulative),
+                herald_log=tuple(records),
+                total_success=clicks_so_far + parity_success,
+                parity_success=parity_success,
+                failure_weight=failure,
+                residual_weight=residual,
+                false_negative_weight=false_negative,
+                false_positive_weight=sum(record.false_weight for record in records),
+                fidelity_per_target=fidelity_per_target,
+                success_per_target=success_per_target,
             )
-            records.extend(parity_records)
-            parity_success = sum(record.weight for record in parity_records)
-            failure = state.weight - parity_success
-        else:
-            residual = state.weight
+            stop = next(pending, runs[-1])
 
-        fidelity_per_target, success_per_target = _aggregate_heralds(records)
-        yield ProtocolResult(
-            params=stop,
-            cumulative_success=tuple(cumulative),
-            herald_log=tuple(records),
-            total_success=clicks_so_far + parity_success,
-            parity_success=parity_success,
-            failure_weight=failure,
-            residual_weight=residual,
-            false_negative_weight=false_negative,
-            false_positive_weight=sum(record.false_weight for record in records),
-            fidelity_per_target=fidelity_per_target,
-            success_per_target=success_per_target,
-        )
-        stop = next(pending, params)
+
+# consecutive runs that differ only in rounds or schedule (approach B's
+# candidates, a chain's hops) share one compiled engine
+_compile = functools.lru_cache(maxsize=1)(_Engine)
+
+
+def _engine(params: ProtocolParams) -> _Engine:
+    return _compile(
+        params.p_abs, params.r_a1, params.p_qnd, params.p_dark, params.p_loss,
+        params.eta_per_cycle,
+    )

@@ -128,11 +128,6 @@ def check_count(name: str, value: int) -> int:
     return int(value)
 
 
-# the PSD check factors matrix - EIGENVALUE_FLOOR * I, which succeeds exactly
-# when the smallest eigenvalue is at least EIGENVALUE_FLOOR (up to rounding)
-_FLOOR_SHIFT = EIGENVALUE_FLOOR * np.eye(DIM_TOTAL)
-
-
 def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
     if matrix.shape != (DIM_TOTAL, DIM_TOTAL):
         raise StateValidationError(
@@ -146,18 +141,31 @@ def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
         if matrix.any():
             raise StateValidationError("an empty branch must carry an all-zero matrix")
         return
+    check_density(matrix)
+
+
+def check_density(matrix: np.ndarray) -> None:
+    """A square matrix, or a stack of them, must be finite, Hermitian, of unit
+    trace and positive semidefinite, each within the tolerances above.
+
+    The PSD check factors matrix - EIGENVALUE_FLOOR * I by Cholesky, which
+    succeeds exactly when the smallest eigenvalue is at least EIGENVALUE_FLOOR
+    (up to rounding); only a failed factorisation computes eigenvalues.
+    """
     if not np.all(np.isfinite(matrix)):
         raise StateValidationError("state matrix contains non-finite entries")
-    asymmetry = np.abs(matrix - matrix.conj().T).max()
+    asymmetry = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max()
     if asymmetry > HERMITICITY_ATOL:
         raise StateValidationError(f"state matrix is not Hermitian (max asymmetry {asymmetry:.3e})")
-    trace = float(matrix.trace().real)
-    if abs(trace - 1.0) > TRACE_ATOL:
+    traces = np.trace(matrix, axis1=-2, axis2=-1).real
+    deviation = np.abs(traces - 1.0)
+    if deviation.max() > TRACE_ATOL:
+        trace = float(traces.flat[deviation.argmax()])
         raise StateValidationError(f"state matrix trace is {trace!r}, expected 1")
     try:
-        np.linalg.cholesky(matrix - _FLOOR_SHIFT)
+        np.linalg.cholesky(matrix - EIGENVALUE_FLOOR * np.eye(matrix.shape[-1]))
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(matrix)[0])
+        smallest = float(np.linalg.eigvalsh(matrix).min())
         if smallest < EIGENVALUE_FLOOR:
             raise StateValidationError(f"state matrix has negative eigenvalue {smallest:.3e}")
 
@@ -221,13 +229,19 @@ class JointState:
         return np.einsum("ikjk->ij", tensor)
 
 
-def make_initial_state() -> JointState:
-    """Shared resource at the start of a run: an equal superposition pairing
-    each pair-13 Bell state with its opposite-family partner on node2p."""
-    amplitudes = np.zeros(DIM_TOTAL, dtype=np.complex128)
+def initial_amplitudes() -> np.ndarray:
+    """The pure initial state: an equal superposition pairing each pair-13
+    Bell state with its opposite-family partner on node2p."""
+    amplitudes = np.zeros(DIM_TOTAL)
     for label in BellLabel:
         amplitudes[basis_index(label, label.toggle_family())] = 0.5
-    return JointState(np.outer(amplitudes, amplitudes.conj()), 1.0)
+    return amplitudes
+
+
+def make_initial_state() -> JointState:
+    """Shared resource at the start of a run, as a validated branch."""
+    amplitudes = initial_amplitudes()
+    return JointState(np.outer(amplitudes, amplitudes), 1.0)
 
 
 def pair13_fidelity(state: JointState, target: BellLabel) -> float | None:

@@ -12,13 +12,13 @@ joint state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .analytics import OBJECTIVE_CONSTRAINED, optimize_rounds
 from .protocol import ProtocolParams, ProtocolResult, run_protocol
-from .states import BellLabel, ParameterError
+from .states import BellLabel, ParameterError, check_count, check_probability
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,8 @@ def sweep(
     """
     abs_axis = _validate_axis("p_abs_axis", p_abs_axis)
     loss_axis = _validate_axis("p_loss_axis", p_loss_axis)
+    if min_fidelity is not None:
+        check_probability("min_fidelity", min_fidelity)
     if optimize_l:
         if rounds is not None:
             raise ParameterError("rounds must be omitted when optimize_l is set")
@@ -146,17 +148,21 @@ class RelayChainSpec:
 
     @classmethod
     def uniform(cls, params: ProtocolParams, n_hops: int) -> "RelayChainSpec":
-        if n_hops < 1:
-            raise ParameterError(f"n_hops must be at least 1, got {n_hops!r}")
-        return cls(hops=(params,) * n_hops)
+        return cls(hops=(params,) * check_count("n_hops", n_hops))
 
 
 @dataclass(frozen=True)
 class RelayResult:
+    """A composed chain.  `success_prefix[n]` and `fidelity_prefix[n]` are
+    the chain success and fidelity estimate of the first n+1 hops; the
+    fidelity is None from the first hop without heralds on."""
+
     chain_success: float
     chain_fidelity_estimate: float | None
     chain_diagonal: np.ndarray | None
     hop_results: tuple[ProtocolResult, ...]
+    success_prefix: tuple[float, ...]
+    fidelity_prefix: tuple[float | None, ...]
 
 
 def compose_bell_diagonals(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -179,26 +185,36 @@ def compose_bell_diagonals(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 def relay_chain(spec: RelayChainSpec) -> RelayResult:
-    """Compose a serial chain: multiply successes, convolve Bell diagonals."""
-    cache: dict[ProtocolParams, ProtocolResult] = {}
+    """Compose a serial chain hop by hop: multiply successes, convolve Bell
+    diagonals, and keep the prefix after every hop."""
+    cache: dict[ProtocolParams, tuple[ProtocolResult, np.ndarray | None]] = {}
     results = []
+    success = 1.0
+    diagonal: np.ndarray | None = None
+    heraldless = False
+    success_prefix = []
+    fidelity_prefix = []
     for hop in spec.hops:
         if hop not in cache:
-            cache[hop] = run_protocol(hop)
-        results.append(cache[hop])
-
-    chain_success = 1.0
-    for result in results:
-        chain_success *= result.total_success
-
-    diagonal: np.ndarray | None = None
-    if all(result.bell_diagonal is not None for result in results):
-        diagonal = results[0].bell_diagonal.copy()
-        for result in results[1:]:
-            diagonal = compose_bell_diagonals(diagonal, result.bell_diagonal)
+            result = run_protocol(hop)
+            cache[hop] = (result, result.bell_diagonal)
+        result, hop_diagonal = cache[hop]
+        results.append(result)
+        success *= result.total_success
+        heraldless = heraldless or hop_diagonal is None
+        if heraldless:
+            diagonal = None
+        elif diagonal is None:
+            diagonal = hop_diagonal.copy()
+        else:
+            diagonal = compose_bell_diagonals(diagonal, hop_diagonal)
+        success_prefix.append(success)
+        fidelity_prefix.append(None if diagonal is None else float(diagonal[0]))
     return RelayResult(
-        chain_success=chain_success,
-        chain_fidelity_estimate=None if diagonal is None else float(diagonal[0]),
+        chain_success=success,
+        chain_fidelity_estimate=fidelity_prefix[-1],
         chain_diagonal=diagonal,
         hop_results=tuple(results),
+        success_prefix=tuple(success_prefix),
+        fidelity_prefix=tuple(fidelity_prefix),
     )

@@ -279,14 +279,15 @@ class TestOptimizeRounds:
         ],
     )
     def test_absorption_rounds_evolved(self, monkeypatch, approach, candidates, evolved):
+        # every round, absorption included, is one step of the compiled engine
         calls = []
-        absorb = nvswap.protocol.absorption_channel
+        step = nvswap.protocol._Engine.step
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return absorb(*args, **kwargs)
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(nvswap.protocol, "absorption_channel", counting)
+        monkeypatch.setattr(nvswap.protocol._Engine, "step", counting)
         optimize_rounds(
             approach, 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED, candidates=candidates
         )
@@ -298,6 +299,19 @@ class TestOptimizeRounds:
                 "B",
                 0.3,
                 min_fidelity=0.999999,
+                p_dark=0.05,
+                p_loss=0.3,
+                candidates=[4, 8],
+            )
+
+    @pytest.mark.parametrize("min_fidelity", [float("nan"), -0.5, 1.000001, float("inf")])
+    def test_invalid_min_fidelity_rejected(self, min_fidelity):
+        # nan once passed silently (every fidelity comparison with it is False)
+        with pytest.raises(ParameterError, match="min_fidelity"):
+            optimize_rounds(
+                "B",
+                0.3,
+                min_fidelity=min_fidelity,
                 p_dark=0.05,
                 p_loss=0.3,
                 candidates=[4, 8],

@@ -9,12 +9,12 @@ from nvswap.channels import (
     FlipKind,
     SpinSite,
     absorption_channel,
-    apply_signed_permutation,
     dephasing_channel,
     flip_channel,
     photon_loss_channel,
     photon_present_indices,
     qnd_povm,
+    signed_permutation_matrix,
 )
 from nvswap.states import (
     DIM_TOTAL,
@@ -333,9 +333,10 @@ class TestChannelValiditySweep:
                 assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
 
 
-def test_apply_signed_permutation_matches_unitary_conjugation(rng):
+def test_signed_permutation_matrix_conjugates_like_the_table(rng):
     state = random_joint_state(rng)
     perm, sign = FLIP_TABLES[FlipKind.BOTH]
     u = table_as_unitary(perm, sign)
-    direct = apply_signed_permutation(state.matrix, perm, sign)
+    assert np.array_equal(signed_permutation_matrix(perm, sign), u)
+    direct = flip_channel(state, FlipKind.BOTH).matrix
     assert np.abs(direct - u @ state.matrix @ u.conj().T).max() <= 1e-13

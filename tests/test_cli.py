@@ -265,6 +265,27 @@ class TestCliSweepAndChain:
         s3 = float(lines[3].split(",")[1])
         assert s3 == pytest.approx(s1**3, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            pytest.param(
+                "optimize", "approach = B\np_abs = 0.9\np_loss = 0.066\n", id="optimize"
+            ),
+            pytest.param(
+                "sweep",
+                "approach = B\np_abs_axis = 0.5\np_loss_axis = 0.066\noptimize_l = true\n",
+                id="sweep",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "-0.2", "2"])
+    def test_invalid_min_fidelity_exits_2(self, tmp_path, capsys, command, config, value):
+        cfg = write_config(tmp_path, "cmd.cfg", config + f"min_fidelity = {value}\n")
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "min_fidelity" in captured.err
+        assert captured.out == ""
+
     def test_optimize_reports_reference_point(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "opt.cfg", "approach = B\np_abs = 0.9\np_loss = 0.066\n"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvswap import protocol
 from nvswap.channels import FlipKind
 from nvswap.protocol import (
     HeraldType,
@@ -18,10 +19,12 @@ from nvswap.states import (
     BellLabel,
     JointState,
     ParameterError,
+    StateValidationError,
     basis_index,
+    make_initial_state,
 )
 
-from util import assert_results_identical
+from util import assert_results_close, assert_results_identical, reference_run
 
 
 def ideal_params(approach: str, rounds: int, **overrides) -> ProtocolParams:
@@ -369,3 +372,87 @@ class TestPrefixPass:
         (only,) = _run_pass([params])
         assert only.params is params
         assert_results_identical(only, run_protocol(params))
+
+
+def _or_zero(low: float, high: float):
+    # exact zeros plus a range kept clear of values whose branch weights could
+    # land within rounding of BRANCH_WEIGHT_FLOOR
+    return st.one_of(st.just(0.0), st.floats(low, high))
+
+
+@st.composite
+def oracle_cases(draw):
+    approach = draw(st.sampled_from(["A", "B"]))
+    rounds = draw(st.sampled_from([2, 4, 6, 10, 16] if approach == "A" else [4, 8, 16, 24]))
+    params = ProtocolParams(
+        approach,
+        p_abs=draw(st.floats(0.01, 1.0)),
+        rounds=rounds,
+        r_a1=draw(_or_zero(1e-5, 0.05)),
+        p_qnd=draw(st.one_of(st.just(1.0), st.floats(0.5, 0.999))),
+        p_dark=draw(_or_zero(1e-5, 0.05)),
+        p_loss=draw(_or_zero(1e-3, 0.3)),
+        tau_cycle=draw(_or_zero(1e-8, 5e-6)),
+        detector_eff=draw(st.floats(0.5, 1.0)),
+        flip_observable=draw(st.sampled_from(["XX", "ZZ"])),
+    )
+    override = st.lists(st.sampled_from(list(FlipKind)), min_size=rounds, max_size=rounds)
+    schedule = draw(st.one_of(st.none(), override.map(tuple)))
+    return params, schedule
+
+
+class TestCompiledEngine:
+    """The compiled engine against the JointState round loop in tests/util.py."""
+
+    @given(case=oracle_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_joint_state_reference(self, case):
+        params, schedule = case
+        assert_results_close(run_protocol(params, schedule), reference_run(params, schedule))
+
+    def test_reachable_support(self):
+        support = protocol._support()
+        assert len(support.rows) == 104
+        pattern = np.zeros((DIM_TOTAL, DIM_TOTAL), dtype=bool)
+        pattern[support.rows, support.cols] = True
+        assert np.array_equal(pattern, pattern.T)
+        assert pattern[make_initial_state().matrix != 0].all()
+
+    @staticmethod
+    def evolve(rho: np.ndarray) -> list:
+        params = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.05)
+        return list(protocol._engine(params).evolve((params,), build_schedule(params), rho))
+
+    def test_valid_initial_state_evolves(self):
+        (result,) = self.evolve(make_initial_state().matrix.real)
+        assert_results_identical(
+            result, run_protocol(ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.05))
+        )
+
+    def test_non_psd_initial_state_raises(self):
+        # the initial pattern with doubled coherences: unit trace, symmetric,
+        # eigenvalues 1.75 and -0.25 (three times)
+        rho = make_initial_state().matrix.real * 2.0
+        np.fill_diagonal(rho, np.diag(rho) / 2.0)
+        assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-0.25)
+        with pytest.raises(StateValidationError, match="negative eigenvalue"):
+            self.evolve(rho)
+
+    def test_asymmetric_state_raises_in_its_first_round(self, monkeypatch):
+        rho = make_initial_state().matrix.real.copy()
+        i, j = basis_index(BellLabel.PHI_PLUS, 2), basis_index(BellLabel.PHI_MINUS, 3)
+        rho[i, j] += 1e-6
+        steps = []
+        step = protocol._Engine.step
+        monkeypatch.setattr(
+            protocol._Engine, "step", lambda *args: steps.append(1) or step(*args)
+        )
+        with pytest.raises(StateValidationError, match="not Hermitian"):
+            self.evolve(rho)
+        assert len(steps) == 1
+
+    def test_non_finite_state_breaks_conservation(self):
+        rho = make_initial_state().matrix.real.copy()
+        rho[basis_index(BellLabel.PHI_PLUS, 2), basis_index(BellLabel.PHI_MINUS, 3)] = np.nan
+        with pytest.raises(StateValidationError, match="does not conserve weight"):
+            self.evolve(rho)

@@ -133,8 +133,54 @@ class TestRelayChain:
         with pytest.raises(ParameterError):
             RelayChainSpec.uniform(ideal_b_params(), 0)
 
+    @pytest.mark.parametrize("n_hops", [2.5, True, 2.0, "2", -1])
+    def test_uniform_rejects_non_count_hops(self, n_hops):
+        with pytest.raises(ParameterError, match="n_hops"):
+            RelayChainSpec.uniform(ideal_b_params(), n_hops)
+
+    def test_uniform_accepts_integral_hops(self):
+        assert len(RelayChainSpec.uniform(ideal_b_params(), np.int64(2)).hops) == 2
+
+    def test_prefixes_compose_hop_by_hop(self):
+        hop_a = ProtocolParams("A", p_abs=0.7, rounds=6, p_loss=0.066)
+        hop_b = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.066)
+        result = relay_chain(RelayChainSpec(hops=(hop_a, hop_b, hop_a)))
+        success, diagonal = 1.0, None
+        for n, hop in enumerate((hop_a, hop_b, hop_a)):
+            direct = run_protocol(hop)
+            success *= direct.total_success
+            diagonal = (
+                direct.bell_diagonal
+                if diagonal is None
+                else compose_bell_diagonals(diagonal, direct.bell_diagonal)
+            )
+            assert result.success_prefix[n] == success
+            assert result.fidelity_prefix[n] == float(diagonal[0])
+        assert result.chain_success == result.success_prefix[-1]
+        assert result.chain_fidelity_estimate == result.fidelity_prefix[-1]
+        assert np.array_equal(result.chain_diagonal, diagonal)
+
+    def test_fidelity_prefix_ends_at_first_heraldless_hop(self):
+        heralded = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.066)
+        silent = ProtocolParams("B", p_abs=0.0, rounds=8, p_dark=0.0)
+        result = relay_chain(RelayChainSpec(hops=(heralded, silent, heralded)))
+        assert result.fidelity_prefix[0] == run_protocol(heralded).pooled_fidelity()
+        assert result.fidelity_prefix[1:] == (None, None)
+        assert result.chain_fidelity_estimate is None and result.chain_diagonal is None
+        assert result.success_prefix == (result.success_prefix[0], 0.0, 0.0)
+
 
 class TestSweep:
+    @pytest.mark.parametrize("optimize_l", [True, False])
+    @pytest.mark.parametrize("min_fidelity", [float("nan"), -0.1, 1.5])
+    def test_invalid_min_fidelity_rejected(self, optimize_l, min_fidelity):
+        rounds = None if optimize_l else 8
+        with pytest.raises(ParameterError, match="min_fidelity"):
+            sweep(
+                [0.5], [0.066], "B", rounds=rounds, optimize_l=optimize_l,
+                min_fidelity=min_fidelity,
+            )
+
     def test_axis_validation(self):
         with pytest.raises(ParameterError):
             sweep([], [0.05], "B", rounds=8)

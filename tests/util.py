@@ -6,8 +6,25 @@ import dataclasses
 
 import numpy as np
 
-from nvswap.protocol import ProtocolResult
-from nvswap.states import DIM_TOTAL, JointState
+from nvswap.channels import (
+    FlipKind,
+    absorption_channel,
+    dephasing_channel,
+    flip_channel,
+    photon_loss_channel,
+    qnd_povm,
+)
+from nvswap.protocol import (
+    HeraldRecord,
+    HeraldType,
+    ProtocolParams,
+    ProtocolResult,
+    _aggregate_heralds,
+    _resolve_schedule,
+    epoch_target,
+    final_parity_measurement,
+)
+from nvswap.states import DIM_TOTAL, JointState, make_initial_state
 
 # Bell change-of-basis matrix: columns are phi+, phi-, psi+, psi- expressed in
 # the product basis |00>, |01>, |10>, |11> (first factor = spin with +1 -> 0,
@@ -66,3 +83,110 @@ def assert_results_identical(a: ProtocolResult, b: ProtocolResult) -> None:
                 assert np.array_equal(got, want), field.name
             else:
                 assert got == want, field.name
+
+
+def assert_results_close(a: ProtocolResult, b: ProtocolResult, atol: float = 1e-12) -> None:
+    """Every ProtocolResult field within atol (None where the other is None);
+    herald logs equal in length, round, flips, type and target, their
+    numbers within atol."""
+
+    def close(got, want, name):
+        if got is None or want is None:
+            assert got is want, name
+        else:
+            assert np.abs(np.asarray(got) - np.asarray(want)).max(initial=0.0) <= atol, name
+
+    assert a.params == b.params
+    for field in dataclasses.fields(ProtocolResult):
+        name = field.name
+        if name in ("params", "herald_log"):
+            continue
+        got, want = getattr(a, name), getattr(b, name)
+        if isinstance(got, dict):
+            assert got.keys() == want.keys(), name
+            for key in got:
+                close(got[key], want[key], f"{name}[{key.name}]")
+        else:
+            assert len(np.atleast_1d(got)) == len(np.atleast_1d(want)), name
+            close(got, want, name)
+    assert len(a.herald_log) == len(b.herald_log)
+    for x, y in zip(a.herald_log, b.herald_log):
+        assert (x.round, x.flips_applied, x.herald_type, x.target) == (
+            y.round,
+            y.flips_applied,
+            y.herald_type,
+            y.target,
+        )
+        for name in ("weight", "conditional_13", "fidelity", "false_weight"):
+            close(getattr(x, name), getattr(y, name), name)
+
+
+def reference_run(
+    params: ProtocolParams, schedule: tuple[FlipKind, ...] | None = None
+) -> ProtocolResult:
+    """One run evolved branch by branch through the JointState channel layer:
+    the readable form of `run_protocol`, used as its oracle."""
+    schedule = _resolve_schedule(params, schedule)
+    eta = params.eta_per_cycle
+    state = make_initial_state()
+    n_phase = n_pol = 0
+    heralds: list[HeraldRecord] = []
+    cumulative: list[float] = []
+    clicks_so_far = 0.0
+    for r, kind in enumerate(schedule, start=1):
+        state = absorption_channel(state, params.p_abs, params.r_a1)
+        pre_click_a2 = state.a2_population() if not state.is_empty else 0.0
+        pre_click_weight = state.weight
+        _, click, noclick = qnd_povm(state, params.p_qnd, params.p_dark)
+        if not click.is_empty:
+            target = epoch_target((n_phase, n_pol))
+            conditional = click.reduced_pair13()
+            heralds.append(
+                HeraldRecord(
+                    round=r,
+                    flips_applied=(n_phase, n_pol),
+                    herald_type=HeraldType.QND_CLICK,
+                    weight=click.weight,
+                    conditional_13=conditional,
+                    target=target,
+                    fidelity=float(np.real(conditional[target.value, target.value])),
+                    false_weight=params.p_dark * (1.0 - pre_click_a2) * pre_click_weight,
+                )
+            )
+            clicks_so_far += click.weight
+        cumulative.append(clicks_so_far)
+        state = photon_loss_channel(noclick, params.p_loss)
+        state = dephasing_channel(state, eta)
+        state = flip_channel(state, kind)
+        n_phase += kind in (FlipKind.PHASE, FlipKind.BOTH)
+        n_pol += kind in (FlipKind.POLARISATION, FlipKind.BOTH)
+
+    false_negative = state.a2_population() * state.weight if not state.is_empty else 0.0
+    parity_success = failure = residual = 0.0
+    if params.approach == "A":
+        parity = final_parity_measurement(
+            state,
+            params.flip_observable,
+            params.detector_eff,
+            round_index=params.rounds,
+            flips_applied=(n_phase, n_pol),
+        )
+        heralds.extend(parity)
+        parity_success = sum(record.weight for record in parity)
+        failure = state.weight - parity_success
+    else:
+        residual = state.weight
+    fidelity_per_target, success_per_target = _aggregate_heralds(heralds)
+    return ProtocolResult(
+        params=params,
+        cumulative_success=tuple(cumulative),
+        herald_log=tuple(heralds),
+        total_success=clicks_so_far + parity_success,
+        parity_success=parity_success,
+        failure_weight=failure,
+        residual_weight=residual,
+        false_negative_weight=false_negative,
+        false_positive_weight=sum(record.false_weight for record in heralds),
+        fidelity_per_target=fidelity_per_target,
+        success_per_target=success_per_target,
+    )
