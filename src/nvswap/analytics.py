@@ -13,18 +13,21 @@ which also books dark clicks on the unexposed quarters, on A1 and on
 photon-lost weight.
 
 `optimize_rounds` scores every allowed round count with the full protocol
-engine.  Approach A flips the same way every round, so one pass of its
-longest candidate yields every candidate; approach B runs each separately,
-on one compiled engine, since only the round count and schedule differ.
+engine, in one pass over all of them: approach A's round counts are
+prefixes of one run, and approach B's are columns of one stack of states
+(of a few, for a large candidate set), so each candidate's score is read off
+per-candidate arrays and only the winner's result is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .protocol import ProtocolParams, ProtocolResult, _run_pass, run_protocol
+import numpy as np
+
+from .protocol import ProtocolParams, ProtocolResult, _scan
 from .states import ParameterError, check_count, check_probability
 
 OBJECTIVE_CONSTRAINED = "max_success_at_min_fidelity"
@@ -133,15 +136,37 @@ def probability_to_db(p_loss: float) -> float:
     return -10.0 * math.log10(1.0 - p_loss)
 
 
+def check_objective(objective: str) -> str:
+    if objective not in (OBJECTIVE_CONSTRAINED, OBJECTIVE_WEIGHTED):
+        raise ParameterError(
+            f"objective must be {OBJECTIVE_CONSTRAINED!r} or {OBJECTIVE_WEIGHTED!r},"
+            f" got {objective!r}"
+        )
+    return objective
+
+
 def _candidate_rounds(approach: str) -> tuple[int, ...]:
     if approach == "A":
         return tuple(range(2, 65, 2))
     return tuple(range(4, 65, 4))
 
 
-def _min_realized_fidelity(result: ProtocolResult) -> float | None:
-    fidelities = result.fidelity_per_target.values()
-    return min((f for f in fidelities if f is not None), default=None)
+# approach B's round counts are separate columns of a scan, whose stack holds
+# (largest rounds + 1) x columns states of about 1.4 KB with their readout: at
+# most this many are evaluated at once (the default 16 candidates take 1,040)
+_SCAN_STATES = 2048
+
+
+def _chunks(runs: list[ProtocolParams]) -> Iterator[list[ProtocolParams]]:
+    """Runs in ascending rounds, in groups whose stack stays within
+    _SCAN_STATES states (a longer run on its own)."""
+    chunk: list[ProtocolParams] = []
+    for run in runs:
+        if chunk and (run.rounds + 1) * (len(chunk) + 1) > _SCAN_STATES:
+            yield chunk
+            chunk = []
+        chunk.append(run)
+    yield chunk
 
 
 @dataclass(frozen=True)
@@ -169,14 +194,11 @@ def optimize_rounds(
     threshold (0.96 for A, 0.99 for B unless overridden); `weighted`
     maximizes total_success * pooled fidelity with no constraint.  Ties go
     to the smaller round count.  Extra keyword arguments are passed to
-    ProtocolParams.  Approach A reads every candidate's result, equal to
-    run_protocol's, off one run of the largest; B calls run_protocol for each.
+    ProtocolParams.  The candidates are evaluated in one engine pass (see
+    `protocol._Scan`; a large set of B candidates in a few, so that memory
+    stays bounded), and the winner's result equals run_protocol's.
     """
-    if objective not in (OBJECTIVE_CONSTRAINED, OBJECTIVE_WEIGHTED):
-        raise ParameterError(
-            f"objective must be {OBJECTIVE_CONSTRAINED!r} or {OBJECTIVE_WEIGHTED!r},"
-            f" got {objective!r}"
-        )
+    check_objective(objective)
     if candidates is None:
         scan: Sequence[int] = _candidate_rounds(approach)
     else:
@@ -188,30 +210,32 @@ def optimize_rounds(
     min_fidelity = check_probability("min_fidelity", min_fidelity)
 
     runs = [ProtocolParams(approach, p_abs=p_abs, rounds=r, **protocol_kwargs) for r in scan]
-    # approach A's runs are prefixes of its longest; B's schedules differ per L
-    results = _run_pass(runs) if approach == "A" else map(run_protocol, runs)
-    best: OptimizeOutcome | None = None
-    for result in results:
-        params = result.params
+    best = None  # (score, scan, index) of the best candidate so far
+    for chunk in _chunks(runs) if approach == "B" else (runs,):
+        evaluated = _scan(chunk)
         if objective == OBJECTIVE_CONSTRAINED:
-            floor = _min_realized_fidelity(result)
-            if floor is None or floor < min_fidelity:
-                continue
-            score = result.total_success
+            # the worst realized per-target fidelity; nan marks a target without heralds
+            heralded = ~np.isnan(evaluated.fidelity)
+            worst = np.where(heralded, evaluated.fidelity, np.inf).min(axis=1)
+            feasible = heralded.any(axis=1) & (worst >= min_fidelity)
+            scores = evaluated.total_success
         else:
-            pooled = result.pooled_fidelity()
-            score = result.total_success * (pooled if pooled is not None else 0.0)
-        if best is None or score > best.score:
-            best = OptimizeOutcome(
-                rounds=params.rounds,
-                l_z=params.l_z,
-                l_x=params.l_x,
-                score=score,
-                result=result,
-            )
+            feasible = np.ones(len(chunk), dtype=bool)
+            scores = evaluated.total_success * np.nan_to_num(evaluated.pooled, nan=0.0)
+        for i in np.flatnonzero(feasible):
+            if best is None or scores[i] > best[0]:
+                best = (scores[i], evaluated, i)
     if best is None:
         raise NoFeasibleRoundsError(
             f"no round count in {scan[0]}..{scan[-1]} meets the"
             f" {objective} objective (min_fidelity={min_fidelity})"
         )
-    return best
+    score, evaluated, i = best
+    params = evaluated.runs[i]
+    return OptimizeOutcome(
+        rounds=params.rounds,
+        l_z=params.l_z,
+        l_x=params.l_x,
+        score=float(score),
+        result=evaluated.result(i),
+    )

@@ -18,19 +18,25 @@ equal the initial weight to float precision.
 Engine.  Every channel is linear on the unnormalized density operator, and
 the evolving operator is real and nonzero on at most 104 of its 1024 entries
 (the initial pattern closed under every channel's Kraus operators).  So each
-parameter set compiles, from the weighted Kraus terms in `channels`, two real
-maps on that support: one reading the click branch's reduced pair-13 block,
-its weight and the A2 population off the absorbed state, and one no-click
-round map per flip kind (absorption, no-click, loss, dephasing, flip).  A
-round is two matrix-vector products.  The JointState channel functions stay
-the readable spec; the test suite runs a round loop on them as the oracle.
+parameter set compiles, from the weighted Kraus terms in `channels`, real
+maps on that support: one no-click round map per flip kind (absorption,
+no-click, loss, dephasing, flip), and one herald map reading the click
+branch's reduced pair-13 block, its weight and the A2 population off a
+round's input state.  A pass (`_Scan`) evolves a stack of states, one
+column per run, where runs whose schedule is a prefix of the longest one
+share its column: each round is one matrix-vector product per column,
+grouped by flip kind.  The herald readout, the checks and the aggregates are then read
+off the stored stack in a few array operations, so `optimize_rounds` scores
+all its candidates from one pass and `run_protocol` is the pass with one
+column and one stop.  The JointState channel functions stay the readable
+spec; the test suite runs a round loop on them as the oracle.
 
-Checks.  Every round: the click and no-click weights sum to the input weight
-within WEIGHT_ATOL, and the no-click state is symmetric within
-HERMITICITY_ATOL.  Every herald conditional: finite, Hermitian, unit trace
-and positive semidefinite (`states.check_density`), checked before the
-result that holds it is returned.  The final state: a full JointState.  A
-breach raises StateValidationError.
+Checks, each on every round of every column, reported at the first failing
+round: the click and no-click weights sum to the input weight within
+WEIGHT_ATOL, and the no-click state is symmetric within HERMITICITY_ATOL.
+Every herald conditional and every run's final state: finite, Hermitian,
+unit trace and positive semidefinite (`states.check_density`).  A breach
+raises StateValidationError before any result is built.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -246,19 +252,9 @@ def build_schedule(params: ProtocolParams) -> tuple[FlipKind, ...]:
     if params.approach == "A":
         kind = FlipKind.PHASE if params.flip_observable == "XX" else FlipKind.POLARISATION
         return (kind,) * params.rounds
-    schedule = []
-    for r in range(1, params.rounds + 1):
-        phase = r % params.l_z == 0
-        pol = r % params.l_x == 0
-        if phase and pol:
-            schedule.append(FlipKind.BOTH)
-        elif phase:
-            schedule.append(FlipKind.PHASE)
-        elif pol:
-            schedule.append(FlipKind.POLARISATION)
-        else:
-            schedule.append(FlipKind.NONE)
-    return tuple(schedule)
+    # rounds = 2*l_x = 4*l_z: every second phase flip comes with a polarisation flip
+    quiet = (FlipKind.NONE,) * (params.l_z - 1)
+    return (*quiet, FlipKind.PHASE, *quiet, FlipKind.BOTH) * 2
 
 
 def epoch_target(flips_applied: tuple[int, int]) -> BellLabel:
@@ -284,6 +280,31 @@ _PARITY_TABLE = {
 }
 
 
+def _parity_sectors(
+    matrices: np.ndarray, weights: np.ndarray, observable: str, detector_eff: float
+) -> list[tuple[HeraldType, BellLabel, np.ndarray, np.ndarray]]:
+    """Both parity outcomes of the final measurement on a stack of unit-trace
+    states of the given weights: per outcome (herald type, target, herald
+    weights, conditional pair-13 states)."""
+    even_slots, odd_slots, even_target, odd_target = _PARITY_TABLE[observable]
+    efficiency = detector_eff**2
+    sectors = []
+    for slots, target, herald_type in (
+        (even_slots, even_target, HeraldType.PARITY_EVEN),
+        (odd_slots, odd_target, HeraldType.PARITY_ODD),
+    ):
+        idx = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(slots)[None, :]).reshape(-1)
+        # complex, as a JointState's matrix is, so real and complex inputs round alike
+        blocks = matrices.take(idx, axis=1).take(idx, axis=2).astype(np.complex128, copy=False)
+        traces = np.trace(blocks, axis1=1, axis2=2).real
+        tensor = blocks.reshape(-1, DIM_PAIR13, len(slots), DIM_PAIR13, len(slots))
+        conditional = np.einsum("nikjk->nij", tensor) / np.where(traces == 0.0, 1.0, traces)[
+            :, None, None
+        ]
+        sectors.append((herald_type, target, traces * weights * efficiency, conditional))
+    return sectors
+
+
 def final_parity_measurement(
     state: JointState,
     observable: str,
@@ -304,47 +325,21 @@ def final_parity_measurement(
     detector_eff = check_probability("detector_eff", detector_eff)
     if state.is_empty:
         return []
-    even_slots, odd_slots, even_target, odd_target = _PARITY_TABLE[observable]
-    efficiency = detector_eff**2
-    records = []
-    outcomes = (
-        (even_slots, even_target, HeraldType.PARITY_EVEN),
-        (odd_slots, odd_target, HeraldType.PARITY_ODD),
-    )
-    for slots, target, herald_type in outcomes:
-        idx = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(slots)[None, :]).reshape(-1)
-        block = state.matrix[np.ix_(idx, idx)]
-        trace = float(block.trace().real)
-        weight = trace * state.weight * efficiency
-        if weight <= BRANCH_WEIGHT_FLOOR:
-            continue
-        tensor = block.reshape(DIM_PAIR13, len(slots), DIM_PAIR13, len(slots))
-        conditional = np.einsum("ikjk->ij", tensor) / trace
-        fidelity = float(np.real(conditional[target.value, target.value]))
-        records.append(
-            HeraldRecord(
-                round=round_index,
-                flips_applied=flips_applied,
-                herald_type=herald_type,
-                weight=weight,
-                conditional_13=conditional,
-                target=target,
-                fidelity=fidelity,
-            )
+    weight = np.array([state.weight])
+    sectors = _parity_sectors(state.matrix[None], weight, observable, detector_eff)
+    return [
+        HeraldRecord(
+            round=round_index,
+            flips_applied=flips_applied,
+            herald_type=herald_type,
+            weight=float(weights[0]),
+            conditional_13=conditional[0],
+            target=target,
+            fidelity=float(conditional[0, target, target].real),
         )
-    return records
-
-
-def _aggregate_heralds(
-    heralds: list[HeraldRecord],
-) -> tuple[dict[BellLabel, float | None], dict[BellLabel, float]]:
-    fidelity: dict[BellLabel, float | None] = {}
-    success: dict[BellLabel, float] = {}
-    for label in BellLabel:
-        mine = [h for h in heralds if h.target is label]
-        success[label] = total = sum(h.weight for h in mine)
-        fidelity[label] = sum(h.weight * h.fidelity for h in mine) / total if total > 0.0 else None
-    return fidelity, success
+        for herald_type, target, weights, conditional in sectors
+        if weights[0] > BRANCH_WEIGHT_FLOOR
+    ]
 
 
 def _resolve_schedule(
@@ -371,19 +366,17 @@ def run_protocol(
     `schedule` overrides the approach's flip schedule (same length as
     rounds); the default is build_schedule(params).
     """
-    return next(_run_pass((params,), schedule))
+    return _scan((params,), (_resolve_schedule(params, schedule),)).result(0)
 
 
-def _run_pass(
-    runs: Sequence[ProtocolParams], schedule: tuple[FlipKind, ...] | None = None
-) -> Iterator[ProtocolResult]:
-    """Evolve the last of `runs` once, yielding each run's result at its round count.
-
-    `runs` must ascend strictly in rounds and differ in nothing else, and each
-    run's schedule must be a prefix of the last one's, as in approach A.
-    """
-    schedule = _resolve_schedule(runs[-1], schedule)
-    return _engine(runs[-1]).evolve(runs, schedule, _support().initial)
+def _scan(
+    runs: Sequence[ProtocolParams], schedules: Sequence[tuple[FlipKind, ...]] | None = None
+) -> _Scan:
+    """Evaluate runs that differ only in rounds (and approach B's flip periods)
+    in one pass; `schedules` defaults to each run's build_schedule."""
+    if schedules is None:
+        schedules = [build_schedule(run) for run in runs]
+    return _Scan(_engine(runs[0]), runs, schedules, _support().initial)
 
 
 class _Support:
@@ -416,8 +409,12 @@ class _Support:
         self.rows, self.cols = rows, cols
         self.initial = initial
         self.trace = (rows == cols).astype(float)
+        # the diagonal entries in row order, and the (upper, lower) positions
+        # of the symmetric off-diagonal pairs
+        self.diagonal = np.flatnonzero(rows == cols)
         position = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
-        self.transpose = np.array([position[c, r] for r, c in zip(rows, cols)])
+        upper = np.flatnonzero(rows < cols)
+        self.pairs = upper, np.array([position[cols[i], rows[i]] for i in upper])
         pair_r, slot_r = np.divmod(rows, DIM_2P)
         pair_c, slot_c = np.divmod(cols, DIM_2P)
         # herald_rows: the partial trace over node2p (16 rows, the 4x4 block)
@@ -460,7 +457,7 @@ class _Engine:
     once per parameter set: `herald`, which reads the click branch's reduced
     pair-13 block (16 rows), its weight and the A2 population off the absorbed
     state, and per flip kind the no-click round map.  Both include the
-    absorption, so a round is two matrix-vector products.
+    absorption, so both act on the state a round starts from.
     """
 
     def __init__(
@@ -479,128 +476,23 @@ class _Engine:
         self._maps = {FlipKind.NONE: base}
 
     def round_map(self, kind: FlipKind) -> np.ndarray:
-        if kind not in self._maps:
-            self._maps[kind] = _support().lift(flip_terms(kind)) @ self._maps[FlipKind.NONE]
-        return self._maps[kind]
+        round_map = self._maps.get(kind)
+        if round_map is None:
+            round_map = _support().lift(flip_terms(kind)) @ self._maps[FlipKind.NONE]
+            self._maps[kind] = round_map
+        return round_map
 
-    def step(self, state: np.ndarray, weight: float, kind: FlipKind, r: int):
-        """Round r on a support vector of the given weight.
+    def advance(self, kind: FlipKind, states: np.ndarray) -> np.ndarray:
+        """One round of the given flip kind on a (k, 104) stack of states.
 
-        Returns (click block, click weight, A2 population after absorption,
-        no-click state after the flip, its weight).  Checks that the two
-        branches carry the input weight and that the no-click state is
-        symmetric; a no-click weight at or below BRANCH_WEIGHT_FLOOR empties
-        the state.
+        A stacked matmul is one matrix-vector product per state, so a state's
+        result does not depend on the other states in the stack.
         """
-        support = _support()
-        heralds = self.herald @ state
-        out = self.round_map(kind) @ state
-        click = float(heralds[-2])
-        noclick = float(support.trace @ out)
-        if not abs(click + noclick - weight) <= WEIGHT_ATOL:
-            raise StateValidationError(
-                f"round {r} does not conserve weight: click {click!r} + no-click"
-                f" {noclick!r} != input {weight!r}"
-            )
-        block = heralds[:-2].reshape(DIM_PAIR13, DIM_PAIR13)
-        if noclick <= BRANCH_WEIGHT_FLOOR:
-            return block, click, heralds[-1], np.zeros_like(out), 0.0
-        asymmetry = np.abs(out - out[support.transpose]).max() / noclick
-        if asymmetry > HERMITICITY_ATOL:
-            raise StateValidationError(
-                f"state matrix is not Hermitian (max asymmetry {asymmetry:.3e})"
-            )
-        return block, click, heralds[-1], out, noclick
-
-    def evolve(
-        self, runs: Sequence[ProtocolParams], schedule: tuple[FlipKind, ...], rho: np.ndarray
-    ) -> Iterator[ProtocolResult]:
-        """The pass of `_run_pass`, started from the real matrix rho (trace = weight).
-
-        Herald conditionals are checked together before each result is
-        yielded; the final state is checked in full as a JointState.
-        """
-        support = _support()
-        pending = iter(runs)
-        stop = next(pending)
-        state = rho[support.rows, support.cols]
-        weight = float(support.trace @ state)
-        n_phase = 0
-        n_pol = 0
-        heralds: list[HeraldRecord] = []
-        checked = 0
-        cumulative: list[float] = []
-        clicks_so_far = 0.0
-
-        for r, kind in enumerate(schedule, start=1):
-            block, click, a2, next_state, next_weight = self.step(state, weight, kind, r)
-            if click > BRANCH_WEIGHT_FLOOR:
-                conditional = block / click
-                target = epoch_target((n_phase, n_pol))
-                heralds.append(
-                    HeraldRecord(
-                        round=r,
-                        flips_applied=(n_phase, n_pol),
-                        herald_type=HeraldType.QND_CLICK,
-                        weight=click,
-                        conditional_13=conditional,
-                        target=target,
-                        fidelity=float(conditional[target.value, target.value]),
-                        false_weight=stop.p_dark * (weight - a2),
-                    )
-                )
-                clicks_so_far += click
-            cumulative.append(clicks_so_far)
-            state, weight = next_state, next_weight
-            if kind in (FlipKind.PHASE, FlipKind.BOTH):
-                n_phase += 1
-            if kind in (FlipKind.POLARISATION, FlipKind.BOTH):
-                n_pol += 1
-            if r != stop.rounds:
-                continue
-
-            if checked < len(heralds):
-                check_density(np.array([h.conditional_13 for h in heralds[checked:]]))
-                checked = len(heralds)
-            matrix = np.zeros((DIM_TOTAL, DIM_TOTAL))
-            matrix[support.rows, support.cols] = state
-            final = JointState.from_unnormalized(matrix)
-            false_negative = final.a2_population() * final.weight if not final.is_empty else 0.0
-            records = list(heralds)
-            parity_success = failure = residual = 0.0
-            if stop.approach == "A":
-                parity_records = final_parity_measurement(
-                    final,
-                    stop.flip_observable,
-                    stop.detector_eff,
-                    round_index=r,
-                    flips_applied=(n_phase, n_pol),
-                )
-                records.extend(parity_records)
-                parity_success = sum(record.weight for record in parity_records)
-                failure = final.weight - parity_success
-            else:
-                residual = final.weight
-
-            fidelity_per_target, success_per_target = _aggregate_heralds(records)
-            yield ProtocolResult(
-                params=stop,
-                cumulative_success=tuple(cumulative),
-                herald_log=tuple(records),
-                total_success=clicks_so_far + parity_success,
-                parity_success=parity_success,
-                failure_weight=failure,
-                residual_weight=residual,
-                false_negative_weight=false_negative,
-                false_positive_weight=sum(record.false_weight for record in records),
-                fidelity_per_target=fidelity_per_target,
-                success_per_target=success_per_target,
-            )
-            stop = next(pending, runs[-1])
+        return np.matmul(self.round_map(kind), states[:, :, None])[:, :, 0]
 
 
-# consecutive runs that differ only in rounds or schedule (approach B's
-# candidates, a chain's hops) share one compiled engine
+# consecutive runs that differ only in rounds or schedule (a chain's hops,
+# successive optimizer scans at one parameter set) share one compiled engine
 _compile = functools.lru_cache(maxsize=1)(_Engine)
 
 
@@ -609,3 +501,252 @@ def _engine(params: ProtocolParams) -> _Engine:
         params.p_abs, params.r_a1, params.p_qnd, params.p_dark, params.p_loss,
         params.eta_per_cycle,
     )
+
+
+_KINDS = tuple(FlipKind)
+# (phase flips, polarisation flips) applied by each kind
+_FLIP_COUNTS = np.array(
+    [
+        (kind in (FlipKind.PHASE, FlipKind.BOTH), kind in (FlipKind.POLARISATION, FlipKind.BOTH))
+        for kind in _KINDS
+    ],
+    dtype=int,
+)
+_LABELS = tuple(BellLabel)
+# epoch_target by flip-count parities
+_TARGETS = np.array([[epoch_target((a, b)) for b in (0, 1)] for a in (0, 1)])
+
+
+def _index(cols: list[int]) -> slice | np.ndarray:
+    """Ascending column numbers as a slice where they are consecutive (a view
+    instead of a copy)."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return slice(cols[0], cols[-1] + 1)
+    return np.array(cols)
+
+
+class _Scan:
+    """One pass of the engine over runs that differ only in rounds (and
+    approach B's flip periods), and each run's outcome.
+
+    The longest schedule is the first column of a stack of states; a run
+    whose schedule is a prefix of it stops on that column, any other run gets
+    a column of its own.  So approach A's round counts share one column and approach
+    B's have one each.  The round loop applies, per flip kind present, that
+    kind's map to its columns (`_Engine.advance`) and stores the states.
+    Everything else is read off the stored stack at once: the herald
+    readout, the checks (see the module docstring), the branch floor (a
+    no-click weight at or below BRANCH_WEIGHT_FLOOR empties the column from
+    that round on, as in a round-by-round loop), the cumulative sums, and
+    per run the final state, its parity outcomes (approach A) and the
+    arrays `optimize_rounds` scores.  `result(i)` builds run i's
+    ProtocolResult from those arrays.
+    """
+
+    def __init__(
+        self,
+        engine: _Engine,
+        runs: Sequence[ProtocolParams],
+        schedules: Sequence[tuple[FlipKind, ...]],
+        rho: np.ndarray,
+    ) -> None:
+        support = _support()
+        self.runs = tuple(runs)
+        params = self.runs[0]
+        # longest first, so that a round's columns tend to form slices
+        columns: list[tuple[FlipKind, ...]] = []
+        self.column = np.zeros(len(runs), dtype=int)
+        for i in sorted(range(len(runs)), key=lambda i: len(schedules[i]), reverse=True):
+            if not columns or columns[0][: len(schedules[i])] != schedules[i]:
+                self.column[i] = len(columns)
+                columns.append(schedules[i])
+        self.stop = np.array([len(schedule) for schedule in schedules])
+        n, m = len(columns[0]), len(columns)
+        live = np.arange(1, n + 1)[:, None] <= np.array([len(s) for s in columns])
+
+        # the round loop: states[r] is the stack after round r; each round
+        # groups its columns by flip kind (codes index _KINDS; past a column's
+        # end they stay 0, FlipKind.NONE)
+        codes = np.zeros((n, m), dtype=int)
+        groups: list[list[list[int]]] = [[[] for _ in _KINDS] for _ in range(n)]
+        for c, schedule in enumerate(columns):
+            column = [_KINDS.index(kind) for kind in schedule]
+            codes[: len(column), c] = column
+            for r, code in enumerate(column):
+                groups[r][code].append(c)
+        plan = [
+            (r, _KINDS[code], _index(cols))
+            for r, group in enumerate(groups, start=1)
+            for code, cols in enumerate(group)
+            if cols
+        ]
+        states = np.zeros((n + 1, m, len(support.rows)))
+        states[0] = rho[support.rows, support.cols]
+        for r, kind, cols in plan:
+            states[r, cols] = engine.advance(kind, states[r - 1, cols])
+        # flips[r]: (phase, polarisation) flips applied in the first r rounds
+        flips = np.zeros((n + 1, m, 2), dtype=int)
+        flips[1:] = np.cumsum(_FLIP_COUNTS[codes], axis=0)
+
+        # weights, one dot product per state; the branch floor
+        weights = np.matmul(states[:, :, None, :], support.trace[:, None])[:, :, 0, 0]
+        noclick = weights[1:].copy()
+        floored = live & (noclick <= BRANCH_WEIGHT_FLOOR)
+        for c in np.flatnonzero(floored.any(axis=0)):
+            r = int(floored[:, c].argmax()) + 1
+            states[r:, c] = weights[r:, c] = noclick[r:, c] = 0.0
+        before = weights[:-1]
+
+        # herald readout of each round's input state, then the round checks
+        heralds = np.zeros((n, m, len(engine.herald)))
+        heralds[live] = np.matmul(engine.herald, states[:-1][live][:, :, None])[..., 0]
+        click, a2 = heralds[..., -2], heralds[..., -1]
+        broken = live & ~(np.abs(click + noclick - before) <= WEIGHT_ATOL)
+        upper, lower = support.pairs
+        skew = states[1:, :, upper]
+        skew -= states[1:, :, lower]
+        skew = np.abs(skew, out=skew).max(axis=-1) / np.maximum(noclick, BRANCH_WEIGHT_FLOOR)
+        skewed = live & (noclick > BRANCH_WEIGHT_FLOOR) & (skew > HERMITICITY_ATOL)
+        if (broken | skewed).any():
+            r, c = np.argwhere(broken | skewed)[0]
+            if broken[r, c]:
+                raise StateValidationError(
+                    f"round {r + 1} does not conserve weight: click {float(click[r, c])!r}"
+                    f" + no-click {float(noclick[r, c])!r} != input {float(before[r, c])!r}"
+                )
+            raise StateValidationError(
+                f"round {r + 1}: state matrix is not Hermitian"
+                f" (max asymmetry {skew[r, c]:.3e})"
+            )
+
+        # heralds: clicks above the floor, their conditionals checked together
+        recorded = live & (click > BRANCH_WEIGHT_FLOOR)
+        blocks = heralds[..., :-2].reshape(n, m, DIM_PAIR13, DIM_PAIR13)
+        if recorded.any():
+            check_density(blocks[recorded] / click[recorded][:, None, None])
+        targets = _TARGETS[flips[:-1, :, 0] % 2, flips[:-1, :, 1] % 2]
+        # block[t, t] of the target t sits at 5t in the flattened 4x4 block
+        target_entry = np.take_along_axis(heralds, (DIM_PAIR13 + 1) * targets[..., None], -1)
+        fidelity = target_entry[..., 0] / np.where(recorded, click, 1.0)
+        clicks = np.where(recorded, click, 0.0)
+        weighted = np.where(recorded, clicks * fidelity, 0.0)
+        false_weights = np.where(recorded, params.p_dark * (before - a2), 0.0)
+        per_target = targets[..., None] == np.arange(DIM_PAIR13)
+        self._rounds = (blocks, clicks, fidelity, false_weights, targets, recorded, flips)
+        self._cumulative = np.cumsum(clicks, axis=0)
+
+        # per run: the round it stops at, its final state and parity outcomes
+        at = (self.stop - 1, self.column)
+        success = np.cumsum(np.where(per_target, clicks[..., None], 0.0), axis=0)[at]
+        weighted_sum = np.cumsum(np.where(per_target, weighted[..., None], 0.0), axis=0)[at]
+        pooled_weight = self._cumulative[at]
+        pooled_sum = np.cumsum(weighted, axis=0)[at]
+        self._false = np.cumsum(false_weights, axis=0)[at]
+        finals = states[self.stop, self.column]
+        # the diagonal entries in row order, contiguous, so that their sum
+        # rounds as the matrix's np.trace does
+        diagonal = finals.take(support.diagonal, axis=1)
+        weight = diagonal.sum(axis=1)
+        empty = weight <= BRANCH_WEIGHT_FLOOR
+        weight[empty] = 0.0
+        scale = np.where(empty, 1.0, weight)[:, None]
+        matrices = np.zeros((len(runs), DIM_TOTAL, DIM_TOTAL))
+        matrices[:, support.rows, support.cols] = finals / scale
+        if not empty.all():
+            check_density(matrices[~empty])
+        populations = diagonal / scale
+        # A2 population summed over the pair-13 index in order, as in JointState
+        a2_final = populations[:, SLOT_A2]
+        for i in range(1, DIM_PAIR13):
+            a2_final = a2_final + populations[:, i * DIM_2P + SLOT_A2]
+        self.false_negative = np.where(empty, 0.0, a2_final * weight)
+        parity = np.zeros(len(runs))
+        self._parity = []
+        if params.approach == "A":
+            sectors = _parity_sectors(matrices, weight, params.flip_observable, params.detector_eff)
+            # added after the clicks, even then odd, in the order of the herald log
+            for herald_type, target, herald_weights, conditional in sectors:
+                heralded = ~empty & (herald_weights > BRANCH_WEIGHT_FLOOR)
+                herald_weights = np.where(heralded, herald_weights, 0.0)
+                target_fidelity = np.where(heralded, conditional[:, target, target].real, 0.0)
+                parity = parity + herald_weights
+                success[:, target] += herald_weights
+                weighted_sum[:, target] += herald_weights * target_fidelity
+                pooled_weight = pooled_weight + herald_weights
+                pooled_sum = pooled_sum + herald_weights * target_fidelity
+                self._parity.append(
+                    (herald_type, target, heralded, herald_weights, conditional, target_fidelity)
+                )
+            self.failure, self.residual = weight - parity, np.zeros(len(runs))
+        else:
+            self.failure, self.residual = np.zeros(len(runs)), weight
+        self.parity_success = parity
+        self.total_success = self._cumulative[at] + parity
+        self.success = success
+        # nan marks a target without heralds, and a run without any
+        self.fidelity = np.where(success > 0.0, weighted_sum, np.nan) / np.where(
+            success > 0.0, success, 1.0
+        )
+        self.pooled = np.where(pooled_weight > 0.0, pooled_sum, np.nan) / np.where(
+            pooled_weight > 0.0, pooled_weight, 1.0
+        )
+
+    def result(self, i: int) -> ProtocolResult:
+        """The ProtocolResult of run i."""
+        run, stop, c = self.runs[i], int(self.stop[i]), int(self.column[i])
+        blocks, clicks, fidelity, false_weights, targets, recorded, flips = self._rounds
+        rounds = np.flatnonzero(recorded[:stop, c])
+        weights = clicks[rounds, c]
+        conditionals = blocks[rounds, c] / weights[:, None, None]
+        columns = zip(
+            (rounds + 1).tolist(),
+            map(tuple, flips[rounds, c].tolist()),
+            weights.tolist(),
+            conditionals,
+            targets[rounds, c].tolist(),
+            fidelity[rounds, c].tolist(),
+            false_weights[rounds, c].tolist(),
+        )
+        records = [
+            HeraldRecord(
+                round=r,
+                flips_applied=applied,
+                herald_type=HeraldType.QND_CLICK,
+                weight=weight,
+                conditional_13=conditional,
+                target=_LABELS[target],
+                fidelity=target_fidelity,
+                false_weight=false_weight,
+            )
+            for r, applied, weight, conditional, target, target_fidelity, false_weight in columns
+        ]
+        for herald_type, target, heralded, weights, conditional, target_fidelity in self._parity:
+            if heralded[i]:
+                records.append(
+                    HeraldRecord(
+                        round=stop,
+                        flips_applied=tuple(flips[stop, c].tolist()),
+                        herald_type=herald_type,
+                        weight=float(weights[i]),
+                        conditional_13=conditional[i],
+                        target=target,
+                        fidelity=float(target_fidelity[i]),
+                    )
+                )
+        success = self.success[i].tolist()
+        fidelity_i = self.fidelity[i].tolist()
+        return ProtocolResult(
+            params=run,
+            cumulative_success=tuple(self._cumulative[:stop, c].tolist()),
+            herald_log=tuple(records),
+            total_success=float(self.total_success[i]),
+            parity_success=float(self.parity_success[i]),
+            failure_weight=float(self.failure[i]),
+            residual_weight=float(self.residual[i]),
+            false_negative_weight=float(self.false_negative[i]),
+            false_positive_weight=float(self._false[i]),
+            fidelity_per_target={
+                label: fidelity_i[label] if success[label] > 0.0 else None for label in BellLabel
+            },
+            success_per_target={label: success[label] for label in BellLabel},
+        )

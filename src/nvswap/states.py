@@ -30,6 +30,7 @@ derived from these definitions and pinned by unit tests.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -116,7 +117,7 @@ def basis_index(i13: int, j2p: int) -> int:
 
 def check_probability(name: str, value: float) -> float:
     value = float(value)
-    if not np.isfinite(value) or not 0.0 <= value <= 1.0:
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must be a probability in [0, 1], got {value!r}")
     return value
 
@@ -144,6 +145,13 @@ def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
     check_density(matrix)
 
 
+# a stack is checked in slices of at most this many bytes: every step below
+# makes temporaries the size of its input, and past this size they cost more
+# than the extra calls (an approach-A scan checks 32 final states of 32x32;
+# sliced, optimize_rounds("A") took 6% less time on a 2-vCPU VM)
+_CHECK_SLICE_BYTES = 1 << 17
+
+
 def check_density(matrix: np.ndarray) -> None:
     """A square matrix, or a stack of them, must be finite, Hermitian, of unit
     trace and positive semidefinite, each within the tolerances above.
@@ -152,6 +160,11 @@ def check_density(matrix: np.ndarray) -> None:
     succeeds exactly when the smallest eigenvalue is at least EIGENVALUE_FLOOR
     (up to rounding); only a failed factorisation computes eigenvalues.
     """
+    per_slice = max(1, _CHECK_SLICE_BYTES // (matrix.shape[-1] ** 2 * matrix.itemsize))
+    if matrix.ndim == 3 and len(matrix) > per_slice:
+        for start in range(0, len(matrix), per_slice):
+            check_density(matrix[start : start + per_slice])
+        return
     if not np.all(np.isfinite(matrix)):
         raise StateValidationError("state matrix contains non-finite entries")
     asymmetry = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max()

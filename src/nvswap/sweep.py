@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analytics import OBJECTIVE_CONSTRAINED, optimize_rounds
+from .analytics import OBJECTIVE_CONSTRAINED, check_objective, optimize_rounds
 from .protocol import ProtocolParams, ProtocolResult, run_protocol
 from .states import BellLabel, ParameterError, check_count, check_probability
 
@@ -81,9 +81,11 @@ def sweep(
 
     With optimize_l the round count is re-optimized per cell (rounds must
     then be omitted); otherwise every cell runs the fixed `rounds`.
+    `objective` and `min_fidelity` are checked either way.
     """
     abs_axis = _validate_axis("p_abs_axis", p_abs_axis)
     loss_axis = _validate_axis("p_loss_axis", p_loss_axis)
+    check_objective(objective)
     if min_fidelity is not None:
         check_probability("min_fidelity", min_fidelity)
     if optimize_l:

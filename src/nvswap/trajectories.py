@@ -15,8 +15,9 @@ arithmetic and the draws from the generator are those of a true-basis loop,
 so a seed fixes the result.
 
 The dynamics here deliberately share only the basis tables with
-`channels.py`; branch bookkeeping, collapse logic, and estimators are written
-independently so the two implementations can audit each other.
+`channels.py` (and the initial state with `states.py`); branch bookkeeping,
+collapse logic, and estimators are written independently so the two
+implementations can audit each other.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .states import (
     SLOT_A2,
     BellLabel,
     check_count,
+    initial_amplitudes,
 )
 
 _J3_COLS = np.arange(DIM_PAIR13) * DIM_2P + 3
@@ -65,13 +67,6 @@ _KIND_BY_CODE = {
     _HERALD_PARITY_EVEN: HeraldType.PARITY_EVEN,
     _HERALD_PARITY_ODD: HeraldType.PARITY_ODD,
 }
-
-
-def _initial_amplitudes(n: int) -> np.ndarray:
-    amps = np.zeros((n, DIM_TOTAL))
-    for label in BellLabel:
-        amps[:, label.value * DIM_2P + label.toggle_family().value] = 0.5
-    return amps
 
 
 class _Frame:
@@ -192,7 +187,7 @@ def run_trajectories(
     schedule = _resolve_schedule(params, schedule)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    psi = _initial_amplitudes(n)
+    psi = np.tile(initial_amplitudes(), (n, 1))
     frame = _Frame()
     alive = np.arange(n)
 

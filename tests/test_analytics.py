@@ -11,6 +11,7 @@ from nvswap.analytics import (
     BoundInputs,
     DEFAULT_MIN_FIDELITY,
     NoFeasibleRoundsError,
+    OBJECTIVE_CONSTRAINED,
     OBJECTIVE_WEIGHTED,
     db_to_probability,
     dephasing_factor,
@@ -252,6 +253,69 @@ class TestOptimizeRounds:
         assert outcome.result.params == best.params
         assert_results_identical(outcome.result, best)
 
+    @given(
+        approach=st.sampled_from(["A", "B"]),
+        objective=st.sampled_from([OBJECTIVE_CONSTRAINED, OBJECTIVE_WEIGHTED]),
+        min_fidelity=st.one_of(st.none(), st.floats(0.5, 0.999)),
+        p_abs=st.floats(0.05, 1.0),
+        r_a1=st.floats(0.0, 0.01),
+        p_qnd=st.floats(0.8, 1.0),
+        p_dark=st.floats(0.0, 0.01),
+        p_loss=st.floats(0.0, 0.3),
+        detector_eff=st.floats(0.5, 1.0),
+        tau_cycle=st.floats(0.0, 2e-6),
+        flip_observable=st.sampled_from(["XX", "ZZ"]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_scan_equals_a_loop_of_separate_runs(
+        self, approach, objective, min_fidelity, p_abs, **kwargs
+    ):
+        floor = DEFAULT_MIN_FIDELITY[approach] if min_fidelity is None else min_fidelity
+        best, best_score = None, None
+        for rounds in range(2, 65, 2) if approach == "A" else range(4, 65, 4):
+            result = run_protocol(ProtocolParams(approach, p_abs=p_abs, rounds=rounds, **kwargs))
+            if objective == OBJECTIVE_CONSTRAINED:
+                fidelities = [f for f in result.fidelity_per_target.values() if f is not None]
+                if not fidelities or min(fidelities) < floor:
+                    continue
+                score = result.total_success
+            else:
+                pooled = result.pooled_fidelity()
+                score = result.total_success * (0.0 if pooled is None else pooled)
+            if best is None or score > best_score:
+                best, best_score = result, score
+        if best is None:
+            with pytest.raises(NoFeasibleRoundsError):
+                optimize_rounds(
+                    approach, p_abs, objective=objective, min_fidelity=min_fidelity, **kwargs
+                )
+            return
+        outcome = optimize_rounds(
+            approach, p_abs, objective=objective, min_fidelity=min_fidelity, **kwargs
+        )
+        assert outcome.rounds == best.params.rounds
+        assert (outcome.l_z, outcome.l_x) == (best.params.l_z, best.params.l_x)
+        assert outcome.score == best_score
+        assert_results_identical(outcome.result, best)
+
+    def test_large_b_scans_are_evaluated_in_bounded_chunks(self, monkeypatch):
+        kwargs = dict(p_loss=0.05, detector_eff=0.9)
+        whole = optimize_rounds("B", 0.6, candidates=range(4, 41, 4), **kwargs)
+        stacks = []
+        scan = nvswap.analytics._scan
+
+        def recording(runs):
+            stacks.append((len(runs), max(run.rounds for run in runs)))
+            return scan(runs)
+
+        monkeypatch.setattr(nvswap.analytics, "_SCAN_STATES", 60)
+        monkeypatch.setattr(nvswap.analytics, "_scan", recording)
+        chunked = optimize_rounds("B", 0.6, candidates=range(4, 41, 4), **kwargs)
+        assert len(stacks) > 1 and sum(n for n, _ in stacks) == 10
+        assert all(n == 1 or n * (rounds + 1) <= 60 for n, rounds in stacks)
+        assert (chunked.rounds, chunked.score) == (whole.rounds, whole.score)
+        assert_results_identical(chunked.result, whole.result)
+
     def test_odd_a_candidate_rejected(self):
         with pytest.raises(ParameterError):
             optimize_rounds("A", 0.5, p_loss=0.066, candidates=[4, 7, 10])
@@ -279,19 +343,20 @@ class TestOptimizeRounds:
         ],
     )
     def test_absorption_rounds_evolved(self, monkeypatch, approach, candidates, evolved):
-        # every round, absorption included, is one step of the compiled engine
-        calls = []
-        step = nvswap.protocol._Engine.step
+        # every round of every column, absorption included, is one state in a
+        # stack the compiled engine advances
+        column_rounds = []
+        advance = nvswap.protocol._Engine.advance
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return step(*args, **kwargs)
+        def counting(engine, kind, states):
+            column_rounds.append(len(states))
+            return advance(engine, kind, states)
 
-        monkeypatch.setattr(nvswap.protocol._Engine, "step", counting)
+        monkeypatch.setattr(nvswap.protocol._Engine, "advance", counting)
         optimize_rounds(
             approach, 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED, candidates=candidates
         )
-        assert len(calls) == evolved
+        assert sum(column_rounds) == evolved
 
     def test_unreachable_threshold_reported(self):
         with pytest.raises(NoFeasibleRoundsError):

@@ -286,6 +286,18 @@ class TestCliSweepAndChain:
         assert "min_fidelity" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("plan", ["rounds = 8", "optimize_l = true"])
+    def test_sweep_with_invalid_objective_exits_2(self, tmp_path, capsys, plan):
+        cfg = write_config(
+            tmp_path,
+            "sweep.cfg",
+            f"approach = B\np_abs_axis = 0.5\np_loss_axis = 0.066\n{plan}\nobjective = bogus\n",
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "objective" in captured.err
+        assert captured.out == ""
+
     def test_optimize_reports_reference_point(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "opt.cfg", "approach = B\np_abs = 0.9\np_loss = 0.066\n"

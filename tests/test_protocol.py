@@ -8,7 +8,7 @@ from nvswap.channels import FlipKind
 from nvswap.protocol import (
     HeraldType,
     ProtocolParams,
-    _run_pass,
+    _scan,
     build_schedule,
     epoch_target,
     final_parity_measurement,
@@ -362,14 +362,15 @@ class TestPrefixPass:
             ProtocolParams("A", rounds=rounds, flip_observable=observable, **kwargs)
             for rounds in EVEN_ROUNDS
         ]
-        prefixes = list(_run_pass(runs))
+        scan = _scan(runs)
+        prefixes = [scan.result(i) for i in range(len(runs))]
         assert [result.params for result in prefixes] == runs
         for params, prefix in zip(runs, prefixes):
             assert_results_identical(prefix, run_protocol(params))
 
     def test_single_run_pass_is_run_protocol(self):
         params = ProtocolParams("B", p_abs=0.4, rounds=8, p_loss=0.05, detector_eff=0.8)
-        (only,) = _run_pass([params])
+        only = _scan([params]).result(0)
         assert only.params is params
         assert_results_identical(only, run_protocol(params))
 
@@ -421,7 +422,8 @@ class TestCompiledEngine:
     @staticmethod
     def evolve(rho: np.ndarray) -> list:
         params = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.05)
-        return list(protocol._engine(params).evolve((params,), build_schedule(params), rho))
+        scan = protocol._Scan(protocol._engine(params), (params,), (build_schedule(params),), rho)
+        return [scan.result(0)]
 
     def test_valid_initial_state_evolves(self):
         (result,) = self.evolve(make_initial_state().matrix.real)
@@ -438,18 +440,28 @@ class TestCompiledEngine:
         with pytest.raises(StateValidationError, match="negative eigenvalue"):
             self.evolve(rho)
 
-    def test_asymmetric_state_raises_in_its_first_round(self, monkeypatch):
+    def test_asymmetric_state_raises_in_its_first_round(self):
         rho = make_initial_state().matrix.real.copy()
         i, j = basis_index(BellLabel.PHI_PLUS, 2), basis_index(BellLabel.PHI_MINUS, 3)
         rho[i, j] += 1e-6
-        steps = []
-        step = protocol._Engine.step
-        monkeypatch.setattr(
-            protocol._Engine, "step", lambda *args: steps.append(1) or step(*args)
-        )
-        with pytest.raises(StateValidationError, match="not Hermitian"):
+        with pytest.raises(StateValidationError, match="^round 1: .*not Hermitian"):
             self.evolve(rho)
-        assert len(steps) == 1
+
+    def test_floored_branch_stays_empty(self):
+        # weight 0 but large entries: an absorbable population of 0.5 and a
+        # population of -0.5 elsewhere; round 1 clicks, leaving a no-click
+        # weight below the floor, so the state is empty from then on even
+        # though the rest would click again in round 2
+        params = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.05, p_dark=0.0)
+        rho = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        absorbable = basis_index(BellLabel.PHI_MINUS, 3)
+        other = basis_index(BellLabel.PHI_PLUS, 2)
+        rho[absorbable, absorbable], rho[other, other] = 0.5, -0.5
+        scan = protocol._Scan(protocol._engine(params), (params,), (build_schedule(params),), rho)
+        result = scan.result(0)
+        assert [record.round for record in result.herald_log] == [1]
+        assert result.cumulative_success == (result.herald_log[0].weight,) * 8
+        assert result.residual_weight == 0.0
 
     def test_non_finite_state_breaks_conservation(self):
         rho = make_initial_state().matrix.real.copy()

@@ -181,6 +181,13 @@ class TestSweep:
                 min_fidelity=min_fidelity,
             )
 
+    @pytest.mark.parametrize("optimize_l", [True, False])
+    def test_invalid_objective_rejected(self, optimize_l):
+        # a fixed-L sweep once ignored the objective and returned a grid
+        rounds = None if optimize_l else 8
+        with pytest.raises(ParameterError, match="objective"):
+            sweep([0.5], [0.066], "B", rounds=rounds, optimize_l=optimize_l, objective="bogus")
+
     def test_axis_validation(self):
         with pytest.raises(ParameterError):
             sweep([], [0.05], "B", rounds=8)

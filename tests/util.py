@@ -19,12 +19,11 @@ from nvswap.protocol import (
     HeraldType,
     ProtocolParams,
     ProtocolResult,
-    _aggregate_heralds,
     _resolve_schedule,
     epoch_target,
     final_parity_measurement,
 )
-from nvswap.states import DIM_TOTAL, JointState, make_initial_state
+from nvswap.states import DIM_TOTAL, BellLabel, JointState, make_initial_state
 
 # Bell change-of-basis matrix: columns are phi+, phi-, psi+, psi- expressed in
 # the product basis |00>, |01>, |10>, |11> (first factor = spin with +1 -> 0,
@@ -121,6 +120,23 @@ def assert_results_close(a: ProtocolResult, b: ProtocolResult, atol: float = 1e-
             close(getattr(x, name), getattr(y, name), name)
 
 
+def per_target(
+    heralds: list[HeraldRecord],
+) -> tuple[dict[BellLabel, float | None], dict[BellLabel, float]]:
+    """Per announced target: the weight-averaged herald fidelity (None without
+    heralds) and the total herald weight, summed record by record."""
+    success = {label: 0.0 for label in BellLabel}
+    weighted = {label: 0.0 for label in BellLabel}
+    for record in heralds:
+        success[record.target] += record.weight
+        weighted[record.target] += record.weight * record.fidelity
+    fidelity = {
+        label: weighted[label] / success[label] if success[label] > 0.0 else None
+        for label in BellLabel
+    }
+    return fidelity, success
+
+
 def reference_run(
     params: ProtocolParams, schedule: tuple[FlipKind, ...] | None = None
 ) -> ProtocolResult:
@@ -176,7 +192,7 @@ def reference_run(
         failure = state.weight - parity_success
     else:
         residual = state.weight
-    fidelity_per_target, success_per_target = _aggregate_heralds(heralds)
+    fidelity_per_target, success_per_target = per_target(heralds)
     return ProtocolResult(
         params=params,
         cumulative_success=tuple(cumulative),
