@@ -85,6 +85,16 @@ def _running_fidelities(result) -> list[dict[BellLabel, float | None]]:
     return per_round
 
 
+def _objective_kwargs(options: dict[str, str]) -> dict:
+    """The optimizer objective and fidelity floor the config sets."""
+    kwargs: dict = {}
+    if "objective" in options:
+        kwargs["objective"] = options["objective"]
+    if "min_fidelity" in options:
+        kwargs["min_fidelity"] = get_float(options, "min_fidelity")
+    return kwargs
+
+
 def cmd_run(options: dict[str, str], args: argparse.Namespace) -> str:
     params = build_protocol_params(options, args.approach)
     trajectories = args.trajectories
@@ -144,11 +154,7 @@ def cmd_sweep(options: dict[str, str], args: argparse.Namespace) -> str:
             raise ConfigError(f"key {key!r} is required")
     optimize_l = get_bool(options, "optimize_l") if "optimize_l" in options else False
     kwargs = protocol_kwargs(options)
-    sweep_kwargs: dict = {}
-    if "objective" in options:
-        sweep_kwargs["objective"] = options["objective"]
-    if "min_fidelity" in options:
-        sweep_kwargs["min_fidelity"] = get_float(options, "min_fidelity")
+    sweep_kwargs = _objective_kwargs(options)
     if optimize_l:
         if "rounds" in options:
             raise ConfigError("key 'rounds' must be omitted when optimize_l is set")
@@ -196,11 +202,7 @@ def cmd_optimize(options: dict[str, str], args: argparse.Namespace) -> str:
     if "p_abs" not in options:
         raise ConfigError("key 'p_abs' is required")
     kwargs = protocol_kwargs(options)
-    opt_kwargs: dict = {}
-    if "objective" in options:
-        opt_kwargs["objective"] = options["objective"]
-    if "min_fidelity" in options:
-        opt_kwargs["min_fidelity"] = get_float(options, "min_fidelity")
+    opt_kwargs = _objective_kwargs(options)
     outcome = optimize_rounds(
         approach,
         get_float(options, "p_abs"),

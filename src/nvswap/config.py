@@ -11,14 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .analytics import db_to_probability
-from .protocol import (
-    DEFAULT_P_DARK,
-    DEFAULT_P_QND,
-    DEFAULT_R_A1,
-    DEFAULT_T2,
-    DEFAULT_TAU_CYCLE,
-    ProtocolParams,
-)
+from .protocol import ProtocolParams
 
 PROTOCOL_KEYS = frozenset(
     {
@@ -166,15 +159,15 @@ def resolve_approach(options: dict[str, str], override: str | None) -> str:
 
 
 def protocol_kwargs(options: dict[str, str]) -> dict[str, float | str]:
-    """Optional ProtocolParams fields shared by every command."""
+    """The optional ProtocolParams fields the config sets, shared by every command."""
     kwargs: dict[str, float | str] = {}
-    kwargs["r_a1"] = get_float(options, "r_a1") if "r_a1" in options else DEFAULT_R_A1
-    kwargs["p_qnd"] = get_float(options, "p_qnd") if "p_qnd" in options else DEFAULT_P_QND
-    kwargs["p_dark"] = get_float(options, "p_dark") if "p_dark" in options else DEFAULT_P_DARK
-    kwargs["tau_cycle"] = (
-        get_float(options, "tau_ns") * 1e-9 if "tau_ns" in options else DEFAULT_TAU_CYCLE
-    )
-    kwargs["t2"] = get_float(options, "t2_us") * 1e-6 if "t2_us" in options else DEFAULT_T2
+    for key in ("r_a1", "p_qnd", "p_dark"):
+        if key in options:
+            kwargs[key] = get_float(options, key)
+    if "tau_ns" in options:
+        kwargs["tau_cycle"] = get_float(options, "tau_ns") * 1e-9
+    if "t2_us" in options:
+        kwargs["t2"] = get_float(options, "t2_us") * 1e-6
     if "detector_eff" in options:
         kwargs["detector_eff"] = get_float(options, "detector_eff")
     if "flip_observable" in options:

@@ -225,14 +225,6 @@ class ProtocolResult:
         return acc / total
 
     @property
-    def fidelity_phi_pooled(self) -> float | None:
-        return self.pooled_fidelity((BellLabel.PHI_PLUS, BellLabel.PHI_MINUS))
-
-    @property
-    def fidelity_psi_pooled(self) -> float | None:
-        return self.pooled_fidelity((BellLabel.PSI_PLUS, BellLabel.PSI_MINUS))
-
-    @property
     def bell_diagonal(self) -> np.ndarray | None:
         """Average conditional Bell diagonal rotated into each herald's target
         frame (slot 0 = announced target), for relay composition."""
@@ -294,8 +286,7 @@ def _parity_sectors(
         (odd_slots, odd_target, HeraldType.PARITY_ODD),
     ):
         idx = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(slots)[None, :]).reshape(-1)
-        # complex, as a JointState's matrix is, so real and complex inputs round alike
-        blocks = matrices.take(idx, axis=1).take(idx, axis=2).astype(np.complex128, copy=False)
+        blocks = matrices.take(idx, axis=1).take(idx, axis=2)
         traces = np.trace(blocks, axis1=1, axis2=2).real
         tensor = blocks.reshape(-1, DIM_PAIR13, len(slots), DIM_PAIR13, len(slots))
         conditional = np.einsum("nikjk->nij", tensor) / np.where(traces == 0.0, 1.0, traces)[
@@ -409,9 +400,7 @@ class _Support:
         self.rows, self.cols = rows, cols
         self.initial = initial
         self.trace = (rows == cols).astype(float)
-        # the diagonal entries in row order, and the (upper, lower) positions
-        # of the symmetric off-diagonal pairs
-        self.diagonal = np.flatnonzero(rows == cols)
+        # the (upper, lower) positions of the symmetric off-diagonal pairs
         position = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
         upper = np.flatnonzero(rows < cols)
         self.pairs = upper, np.array([position[cols[i], rows[i]] for i in upper])
@@ -491,8 +480,8 @@ class _Engine:
         return np.matmul(self.round_map(kind), states[:, :, None])[:, :, 0]
 
 
-# consecutive runs that differ only in rounds or schedule (a chain's hops,
-# successive optimizer scans at one parameter set) share one compiled engine
+# the last engine serves the next run at its parameters in any rounds or schedule:
+# chunked custom-candidate B scans, non-uniform chains' hops and repeated calls
 _compile = functools.lru_cache(maxsize=1)(_Engine)
 
 
@@ -643,23 +632,17 @@ class _Scan:
         pooled_sum = np.cumsum(weighted, axis=0)[at]
         self._false = np.cumsum(false_weights, axis=0)[at]
         finals = states[self.stop, self.column]
-        # the diagonal entries in row order, contiguous, so that their sum
-        # rounds as the matrix's np.trace does
-        diagonal = finals.take(support.diagonal, axis=1)
-        weight = diagonal.sum(axis=1)
+        weight = weights[self.stop, self.column]
         empty = weight <= BRANCH_WEIGHT_FLOOR
-        weight[empty] = 0.0
-        scale = np.where(empty, 1.0, weight)[:, None]
+        weight = np.where(empty, 0.0, weight)
         matrices = np.zeros((len(runs), DIM_TOTAL, DIM_TOTAL))
-        matrices[:, support.rows, support.cols] = finals / scale
+        matrices[:, support.rows, support.cols] = finals / np.where(empty, 1.0, weight)[:, None]
         if not empty.all():
             check_density(matrices[~empty])
-        populations = diagonal / scale
-        # A2 population summed over the pair-13 index in order, as in JointState
-        a2_final = populations[:, SLOT_A2]
-        for i in range(1, DIM_PAIR13):
-            a2_final = a2_final + populations[:, i * DIM_2P + SLOT_A2]
-        self.false_negative = np.where(empty, 0.0, a2_final * weight)
+        # the unnormalised A2 weight, one dot product per run, so that a run's
+        # bits do not depend on how many runs the scan holds
+        a2_final = np.matmul(finals[:, None, :], support.a2[:, None])[:, 0, 0]
+        self.false_negative = np.where(empty, 0.0, a2_final)
         parity = np.zeros(len(runs))
         self._parity = []
         if params.approach == "A":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 import numpy as np
 
@@ -48,7 +48,6 @@ SLOT_SPIN_UP = 6
 SLOT_SPIN_DOWN = 7
 
 PHOTON_PRESENT_SLOTS = (0, 1, 2, 3)
-PHOTON_GONE_SLOTS = (SLOT_A2, SLOT_A1, SLOT_SPIN_UP, SLOT_SPIN_DOWN)
 
 # density-matrix validation tolerances
 HERMITICITY_ATOL = 1e-12
@@ -93,19 +92,6 @@ class BellLabel(IntEnum):
     def compose(self, other: "BellLabel") -> "BellLabel":
         """Group composition of the underlying Pauli error labels."""
         return BellLabel(self.value ^ other.value)
-
-
-class Sector2p(Enum):
-    """The two orthogonal sectors of the 8-dim node2p factor."""
-
-    PHOTON_PRESENT = "photon_present"
-    PHOTON_GONE = "photon_gone"
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        if self is Sector2p.PHOTON_PRESENT:
-            return PHOTON_PRESENT_SLOTS
-        return PHOTON_GONE_SLOTS
 
 
 def basis_index(i13: int, j2p: int) -> int:
@@ -229,13 +215,6 @@ class JointState:
     def a2_population(self) -> float:
         return float(self.slot_populations()[SLOT_A2])
 
-    def a1_population(self) -> float:
-        return float(self.slot_populations()[SLOT_A1])
-
-    def sector_population(self, sector: Sector2p) -> float:
-        pops = self.slot_populations()
-        return float(sum(pops[j] for j in sector.slots))
-
     def reduced_pair13(self) -> np.ndarray:
         """Partial trace over node2p; unit trace for non-empty states, zeros otherwise."""
         tensor = self.matrix.reshape(DIM_PAIR13, DIM_2P, DIM_PAIR13, DIM_2P)
@@ -255,14 +234,3 @@ def make_initial_state() -> JointState:
     """Shared resource at the start of a run, as a validated branch."""
     amplitudes = initial_amplitudes()
     return JointState(np.outer(amplitudes, amplitudes), 1.0)
-
-
-def pair13_fidelity(state: JointState, target: BellLabel) -> float | None:
-    """Overlap of the reduced pair-13 state with the target Bell state.
-
-    Returns None for an empty branch, where the conditional state is undefined.
-    """
-    if state.is_empty:
-        return None
-    reduced = state.reduced_pair13()
-    return float(np.real(reduced[target.value, target.value]))

@@ -29,7 +29,6 @@ class SweepCell:
     l_z: int | None
     l_x: int | None
     total_success: float
-    pooled_fidelity: float | None
     fidelity_per_target: dict[BellLabel, float | None]
 
 
@@ -122,7 +121,6 @@ def sweep(
                     l_z=params.l_z,
                     l_x=params.l_x,
                     total_success=result.total_success,
-                    pooled_fidelity=result.pooled_fidelity(),
                     fidelity_per_target=dict(result.fidelity_per_target),
                 )
             )

@@ -23,6 +23,7 @@ implementations can audit each other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,10 @@ from .states import (
     DIM_2P,
     DIM_PAIR13,
     DIM_TOTAL,
+    SLOT_A1,
     SLOT_A2,
     BellLabel,
+    ParameterError,
     check_count,
     initial_amplitudes,
 )
@@ -54,7 +57,7 @@ from .states import (
 _J3_COLS = np.arange(DIM_PAIR13) * DIM_2P + 3
 _J2_COLS = np.arange(DIM_PAIR13) * DIM_2P + 2
 _A2_COLS = np.arange(DIM_PAIR13) * DIM_2P + SLOT_A2
-_A1_COLS = np.arange(DIM_PAIR13) * DIM_2P + SLOT_A2 + 1
+_A1_COLS = np.arange(DIM_PAIR13) * DIM_2P + SLOT_A1
 _GONE_COLS = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.arange(4, 8)[None, :]).reshape(-1)
 
 _HERALD_NONE = 0
@@ -160,20 +163,8 @@ class TrajectoryResult:
     fidelity_per_target: dict[BellLabel, float | None] = field(repr=False)
     fidelity_se_per_target: dict[BellLabel, float] = field(repr=False)
     herald_counts: dict[HeraldType, int] = field(repr=False)
-    _pooled: tuple[float, float] = field(repr=False)
-
-    @property
-    def pooled_fidelity(self) -> float | None:
-        if self._pooled[0] < 0:
-            return None
-        return self._pooled[0]
-
-    @property
-    def pooled_fidelity_se(self) -> float:
-        return self._pooled[1]
-
-    def success_se(self, label: BellLabel) -> float:
-        return _binomial_se(self.success_per_target[label], self.n_trajectories)
+    pooled_fidelity: float | None = field(repr=False)
+    pooled_fidelity_se: float = field(repr=False)
 
 
 def run_trajectories(
@@ -182,7 +173,12 @@ def run_trajectories(
     seed: int | None = None,
     schedule: tuple[FlipKind, ...] | None = None,
 ) -> TrajectoryResult:
-    """Sample n_trajectories independent runs and aggregate herald statistics."""
+    """Sample n_trajectories independent runs and aggregate herald statistics;
+    `seed` is None (fresh entropy) or a non-negative integer."""
+    if seed is not None and (
+        not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0
+    ):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     n = check_count("n_trajectories", n_trajectories)
     schedule = _resolve_schedule(params, schedule)
 
@@ -357,10 +353,7 @@ def run_trajectories(
             fidelity_per_target[label] = None
             fidelity_se_per_target[label] = 0.0
 
-    if total_heralds:
-        pooled = _mean_se(herald_fidelity[heralded])
-    else:
-        pooled = (-1.0, 0.0)
+    pooled = _mean_se(herald_fidelity[heralded]) if total_heralds else (None, 0.0)
 
     herald_counts = {
         kind: int((herald_kind == code).sum()) for code, kind in _KIND_BY_CODE.items()
@@ -382,5 +375,6 @@ def run_trajectories(
         fidelity_per_target=fidelity_per_target,
         fidelity_se_per_target=fidelity_se_per_target,
         herald_counts=herald_counts,
-        _pooled=pooled,
+        pooled_fidelity=pooled[0],
+        pooled_fidelity_se=pooled[1],
     )

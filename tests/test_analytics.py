@@ -25,7 +25,7 @@ from nvswap.analytics import (
 from nvswap.protocol import ProtocolParams, run_protocol
 from nvswap.states import ParameterError
 
-from util import assert_results_identical
+from util import NO_SHRINK, assert_results_identical
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 round_counts = st.integers(min_value=1, max_value=80)
@@ -266,7 +266,7 @@ class TestOptimizeRounds:
         tau_cycle=st.floats(0.0, 2e-6),
         flip_observable=st.sampled_from(["XX", "ZZ"]),
     )
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12, deadline=None, phases=NO_SHRINK)
     def test_scan_equals_a_loop_of_separate_runs(
         self, approach, objective, min_fidelity, p_abs, **kwargs
     ):

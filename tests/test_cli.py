@@ -190,6 +190,18 @@ class TestCliErrors:
         assert "n_trajectories" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [("", ["--trajectories", "10", "--seed", "-1"]), ("trajectories = 10\nseed = -3\n", [])],
+        ids=["flag", "config_key"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, extra, flags):
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG + extra)
+        assert cli.main(["run", "--config", cfg, *flags]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
+
     def test_zero_trajectory_config_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.cfg", RUN_CFG + "trajectories = 0\n")
         assert cli.main(["run", "--config", cfg]) == 2

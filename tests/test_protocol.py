@@ -24,7 +24,7 @@ from nvswap.states import (
     make_initial_state,
 )
 
-from util import assert_results_close, assert_results_identical, reference_run
+from util import NO_SHRINK, assert_results_close, assert_results_identical, reference_run
 
 
 def ideal_params(approach: str, rounds: int, **overrides) -> ProtocolParams:
@@ -356,7 +356,7 @@ class TestPrefixPass:
         detector_eff=st.floats(0.5, 0.999),
         tau_cycle=st.floats(0.0, 2e-6),
     )
-    @settings(max_examples=3, deadline=None)
+    @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
     def test_a_prefixes_equal_separate_runs(self, observable, **kwargs):
         runs = [
             ProtocolParams("A", rounds=rounds, flip_observable=observable, **kwargs)
@@ -406,7 +406,7 @@ class TestCompiledEngine:
     """The compiled engine against the JointState round loop in tests/util.py."""
 
     @given(case=oracle_cases())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_matches_joint_state_reference(self, case):
         params, schedule = case
         assert_results_close(run_protocol(params, schedule), reference_run(params, schedule))

@@ -4,16 +4,13 @@ import pytest
 from nvswap.states import (
     DIM_TOTAL,
     SLOT_A1,
-    SLOT_A2,
     EIGENVALUE_FLOOR,
     BellLabel,
     JointState,
     ParameterError,
-    Sector2p,
     StateValidationError,
     basis_index,
     make_initial_state,
-    pair13_fidelity,
 )
 from util import random_joint_state
 
@@ -167,31 +164,10 @@ class TestReductions:
         pops = state.slot_populations()
         assert pops[:4] == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-15)
         assert pops[4:] == pytest.approx([0.0] * 4, abs=0.0)
-        assert state.sector_population(Sector2p.PHOTON_PRESENT) == pytest.approx(1.0)
-        assert state.sector_population(Sector2p.PHOTON_GONE) == 0.0
+        assert pops[:4].sum() == pytest.approx(1.0)
+        assert pops[4:].sum() == 0.0
         assert state.a2_population() == 0.0
-        assert state.a1_population() == 0.0
-
-    def test_sector_slots(self):
-        assert Sector2p.PHOTON_PRESENT.slots == (0, 1, 2, 3)
-        assert Sector2p.PHOTON_GONE.slots == (SLOT_A2, SLOT_A1, 6, 7)
-
-
-class TestPair13Fidelity:
-    def test_initial_state_is_quarter_for_every_label(self):
-        state = make_initial_state()
-        for label in BellLabel:
-            assert pair13_fidelity(state, label) == pytest.approx(0.25, abs=1e-15)
-
-    def test_eigenstate_and_orthogonality(self):
-        amps = np.zeros(DIM_TOTAL, dtype=complex)
-        amps[basis_index(BellLabel.PHI_MINUS, SLOT_A2)] = 1.0
-        state = JointState(np.outer(amps, amps.conj()), 1.0)
-        assert pair13_fidelity(state, BellLabel.PHI_MINUS) == pytest.approx(1.0, abs=0.0)
-        assert pair13_fidelity(state, BellLabel.PSI_PLUS) == pytest.approx(0.0, abs=0.0)
-
-    def test_empty_state_has_no_fidelity(self):
-        assert pair13_fidelity(JointState.empty(), BellLabel.PHI_PLUS) is None
+        assert pops[SLOT_A1] == 0.0
 
 
 def test_basis_index_bounds():

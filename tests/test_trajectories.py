@@ -158,6 +158,16 @@ class TestValidation:
         assert type(a.n_trajectories) is int
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            run_trajectories(ideal_params("B", 4), 10, seed=seed)
+
+    def test_accepts_integral_seed(self):
+        a = run_trajectories(ideal_params("B", 4), 50, seed=np.int64(3))
+        assert a == run_trajectories(ideal_params("B", 4), 50, seed=3)
+        assert run_trajectories(ideal_params("B", 4), 50, seed=0).n_trajectories == 50
+
     def test_rejects_bad_schedule(self):
         params = ideal_params("B", 4)
         with pytest.raises(ParameterError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from hypothesis import Phase
 
 from nvswap.channels import (
     FlipKind,
@@ -38,6 +39,11 @@ BELL_COLUMNS = np.array(
         [_S, -_S, 0.0, 0.0],
     ]
 )
+
+# hypothesis phases without shrinking, for engine property tests: an example
+# is slow (many runs, or the JointState oracle), so a failing one would shrink
+# for minutes before it is reported
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
