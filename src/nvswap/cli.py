@@ -2,8 +2,8 @@
 
 Every command reads a flat key=value config, computes its full output table
 in memory, and only then writes it (one file write, so a failed run never
-leaves a partial file).  Exit codes: 0 success, 2 bad configuration or
-parameters, 3 numerical invariant violation inside the engine.
+leaves a partial file).  Exit codes: 0 success, 2 bad configuration,
+parameters or output path, 3 numerical invariant violation inside the engine.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .config import (
     resolve_loss,
 )
 from .protocol import DEFAULT_P_DARK, DEFAULT_P_QND, HeraldType, run_protocol
-from .states import BellLabel, ParameterError, StateValidationError
+from .states import BellLabel, ParameterError, StateValidationError, check_seed
 from .sweep import RelayChainSpec, relay_chain, sweep
 from .trajectories import run_trajectories
 
@@ -103,6 +103,7 @@ def cmd_run(options: dict[str, str], args: argparse.Namespace) -> str:
     seed = args.seed
     if seed is None and "seed" in options:
         seed = get_int(options, "seed")
+    check_seed(seed)
 
     # the sampler checks its count before any work, so it runs first
     sampled = (
@@ -246,13 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", required=True, help="path to key=value config")
         cmd.add_argument("--out", help="output CSV path (default: stdout)")
-        cmd.add_argument("--seed", type=int, help="Monte-Carlo seed")
-        cmd.add_argument(
-            "--trajectories",
-            type=int,
-            help="sample count enabling the Monte-Carlo cross-check column",
-        )
-        cmd.add_argument("--approach", choices=("A", "B"), help="override config approach")
+        if name != "bounds":
+            cmd.add_argument("--approach", choices=("A", "B"), help="override config approach")
+        if name == "run":
+            cmd.add_argument("--seed", type=int, help="Monte-Carlo seed")
+            cmd.add_argument(
+                "--trajectories",
+                type=int,
+                help="sample count enabling the Monte-Carlo cross-check column",
+            )
     return parser
 
 
@@ -269,7 +272,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write output file {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -115,6 +115,14 @@ def check_count(name: str, value: int) -> int:
     return int(value)
 
 
+def check_seed(seed: int | None) -> None:
+    """A generator seed: None (fresh entropy) or a non-negative integer."""
+    if seed is not None and (
+        not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0
+    ):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
     if matrix.shape != (DIM_TOTAL, DIM_TOTAL):
         raise StateValidationError(

@@ -14,6 +14,15 @@ whole rows are read (clicks, photon loss, the final parity stage).  The
 arithmetic and the draws from the generator are those of a true-basis loop,
 so a seed fixes the result.
 
+Each step computes only on the rows it can change.  Outside `holds_a2` a
+row has no A2 amplitude, outside `has_photon` none on the photon slots 0-3:
+only a j=3 transfer hit fills A2, a transfer hit leaves a pure A2 or A1 row,
+photon loss maps slots 0-3 to 6-7 and its gone branch keeps 4-7, and NV2
+dephasing and the flips map slots 4-7 to themselves.  A skipped row would
+meet p2 == 0 (herald), pop == 0 (transfer) or q_gone == 1.0 (loss), a no-op.
+Every draw keeps its size and order, so at most the sign of a zero differs,
+which no output sees: amplitudes reach outputs only squared.
+
 The dynamics here deliberately share only the basis tables with
 `channels.py` (and the initial state with `states.py`); branch bookkeeping,
 collapse logic, and estimators are written independently so the two
@@ -23,7 +32,6 @@ implementations can audit each other.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +57,8 @@ from .states import (
     SLOT_A1,
     SLOT_A2,
     BellLabel,
-    ParameterError,
     check_count,
+    check_seed,
     initial_amplitudes,
 )
 
@@ -175,10 +183,7 @@ def run_trajectories(
 ) -> TrajectoryResult:
     """Sample n_trajectories independent runs and aggregate herald statistics;
     `seed` is None (fresh entropy) or a non-negative integer."""
-    if seed is not None and (
-        not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0
-    ):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     n = check_count("n_trajectories", n_trajectories)
     schedule = _resolve_schedule(params, schedule)
 
@@ -186,6 +191,8 @@ def run_trajectories(
     psi = np.tile(initial_amplitudes(), (n, 1))
     frame = _Frame()
     alive = np.arange(n)
+    holds_a2 = np.zeros(n, dtype=bool)
+    has_photon = np.ones(n, dtype=bool)
 
     herald_kind = np.zeros(n, dtype=np.int8)
     herald_target = np.full(n, -1, dtype=np.int8)
@@ -207,25 +214,30 @@ def run_trajectories(
             break
 
         # absorption attempts: transfer j=3 into the a2 slot, then j=2 into a1
-        for p_attempt, src_cols, dst_cols in (
-            (params.p_abs, _J3_COLS, _A2_COLS),
-            (p_a1, _J2_COLS, _A1_COLS),
+        for p_attempt, src_cols, dst_cols, to_a2 in (
+            (params.p_abs, _J3_COLS, _A2_COLS, True),
+            (p_a1, _J2_COLS, _A1_COLS, False),
         ):
             if p_attempt <= 0.0:
                 continue
             attempt = alive[rng.random(m) < p_attempt]
             if len(attempt) == 0:
                 continue
+            u = rng.random(len(attempt))
+            carries = has_photon[attempt]
+            attempt, u = attempt[carries], u[carries]
             src = frame.inv[src_cols]
             dst = frame.inv[dst_cols]
             pop = (psi[attempt[:, None], src] ** 2).sum(axis=1)
-            hit = rng.random(len(attempt)) < pop
+            hit = u < pop
             hit_ids = attempt[hit]
             if len(hit_ids):
                 moved = psi[hit_ids[:, None], src] * (frame.sign[src] * frame.sign[dst])
                 psi[hit_ids] = 0.0
                 psi[hit_ids[:, None], dst] = moved
                 _renormalize(psi, hit_ids, pop[hit])
+                has_photon[hit_ids] = False
+                holds_a2[hit_ids] = to_a2
             miss_ids = attempt[~hit]
             if len(miss_ids):
                 psi[miss_ids[:, None], src] = 0.0
@@ -233,15 +245,21 @@ def run_trajectories(
 
         # herald measurement: collapse onto/off the a2 slot, then the detector fires
         a2 = frame.inv[_A2_COLS]
-        a2_amps = psi[alive[:, None], a2]
+        held = holds_a2[alive]
+        held_ids = alive[held]
+        a2_amps = psi[held_ids[:, None], a2]
         p2 = (a2_amps**2).sum(axis=1)
-        in_a2 = rng.random(m) < p2
-        if in_a2.any():
-            _collapse_keep(psi, alive[in_a2], a2, p2[in_a2])
+        in_a2 = np.zeros(m, dtype=bool)
+        in_a2[held] = rng.random(m)[held] < p2
+        on = in_a2[held]
+        if on.any():
+            # QND misses stay in holds_a2 and are re-collapsed every round
+            _collapse_keep(psi, held_ids[on], a2, p2[on])
+        holds_a2[held_ids[~on]] = False
         # rows off a2 that hold no a2 amplitude are left as they are
-        off = ~in_a2 & a2_amps.any(axis=1)
+        off = ~on & a2_amps.any(axis=1)
         if off.any():
-            off_ids = alive[off]
+            off_ids = held_ids[off]
             psi[off_ids[:, None], a2] = 0.0
             _renormalize(psi, off_ids, 1.0 - p2[off])
         c = rng.random(m)
@@ -259,16 +277,19 @@ def run_trajectories(
             if m == 0:
                 break
 
-        # photon loss: three-outcome collapse on the attempting rows, in the true basis
+        # photon loss: three-outcome collapse on the attempting photon rows, in the true basis
         if params.p_loss > 0.0:
             attempt = alive[rng.random(m) < params.p_loss]
+            v = rng.random(len(attempt))
+            carries = has_photon[attempt]
+            has_photon[attempt] = False
+            attempt, v = attempt[carries], v[carries]
             if len(attempt):
                 sub = frame.to_true(psi[attempt])
                 a_plus = sub @ LOSS_KRAUS[0].T
                 a_minus = sub @ LOSS_KRAUS[1].T
                 q_plus = (a_plus**2).sum(axis=1)
                 q_minus = (a_minus**2).sum(axis=1)
-                v = rng.random(len(attempt))
                 pick_plus = v < q_plus
                 pick_minus = (~pick_plus) & (v < q_plus + q_minus)
                 pick_gone = ~(pick_plus | pick_minus)

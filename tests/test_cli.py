@@ -192,15 +192,53 @@ class TestCliErrors:
 
     @pytest.mark.parametrize(
         "extra, flags",
-        [("", ["--trajectories", "10", "--seed", "-1"]), ("trajectories = 10\nseed = -3\n", [])],
-        ids=["flag", "config_key"],
+        [
+            ("", ["--trajectories", "10", "--seed", "-1"]),
+            ("trajectories = 10\nseed = -3\n", []),
+            ("", ["--seed", "-1"]),
+            ("seed = -3\n", []),
+        ],
+        ids=["flag", "config_key", "flag_without_sampling", "config_key_without_sampling"],
     )
-    def test_negative_seed_exits_2(self, tmp_path, capsys, extra, flags):
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, extra, flags):
         cfg = write_config(tmp_path, "run.cfg", RUN_CFG + extra)
+        engine_runs = []
+        monkeypatch.setattr(cli, "run_protocol", engine_runs.append)
         assert cli.main(["run", "--config", cfg, *flags]) == 2
+        assert engine_runs == []  # rejected before any computation
         captured = capsys.readouterr()
         assert "seed must be a non-negative integer" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("bounds", ["--seed", "-5"]),
+            ("bounds", ["--trajectories", "0"]),
+            ("bounds", ["--approach", "B"]),
+            ("sweep", ["--seed", "1"]),
+            ("chain", ["--trajectories", "10"]),
+            ("optimize", ["--seed", "1"]),
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, capsys, command, flags):
+        cfg = write_config(tmp_path, "any.cfg", "")
+        # argparse rejects the flag before the config is read, by raising
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--config", cfg, *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG)
+        out = tmp_path / "no" / "such" / "table.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write output file {out}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_zero_trajectory_config_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.cfg", RUN_CFG + "trajectories = 0\n")

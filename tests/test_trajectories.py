@@ -187,7 +187,8 @@ class TestValidation:
 P, Z, BOTH, NONE = FlipKind.PHASE, FlipKind.POLARISATION, FlipKind.BOTH, FlipKind.NONE
 
 # Output of fixed (params, seed) runs, recorded before the sampler moved to real
-# amplitudes and a flip frame.  Counts are exact; a change to how the sampler
+# amplitudes and a flip frame (the last two before it skipped rows no event
+# can change).  Counts are exact; a change to how the sampler
 # draws from its generator, or to any branch decision, shows up here.  Fidelity
 # tuples are (phi+, phi-, psi+, psi-, pooled).
 PINNED_RUNS = [
@@ -245,6 +246,35 @@ PINNED_RUNS = [
          0.645124716553288, 0.7199659045326915),
         0.0,
         id="A-mixed-schedule",
+    ),
+    pytest.param(
+        # p_qnd = 0.3: QND misses carry A2 amplitude across rounds and leave it
+        # on board at the end
+        dict(approach="A", p_abs=0.6, rounds=6, p_qnd=0.3, p_loss=0.05),
+        None,
+        104,
+        [141, 210, 199, 195, 154, 148],
+        (1047, 619, 576),
+        3,
+        (0.5443037974683544, 0.6511470985155196, 0.9466882067851373,
+         0.9401041666666666, 0.7806274159976212),
+        0.085,
+        id="A-qnd-misses",
+    ),
+    pytest.param(
+        # heavy loss and dark counts: most live rows have lost their photon
+        # when they dark-click or get kicked
+        dict(approach="B", p_abs=0.3, rounds=32, p_loss=0.3, p_dark=0.05, tau_cycle=20e-6),
+        None,
+        105,
+        [372, 213, 147, 121, 118, 108, 82, 105, 100, 66, 91, 72, 85, 68, 57, 62,
+         63, 65, 50, 43, 43, 40, 42, 33, 36, 34, 37, 34, 20, 27, 28, 23],
+        (2485, 0, 0),
+        2067,
+        (0.30490848585690516, 0.4046208530805687, 0.2918410041841004,
+         0.22691292875989447, 0.3425553319919517),
+        0.0,
+        id="B-photon-less-clicks",
     ),
 ]
 
