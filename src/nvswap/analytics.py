@@ -65,10 +65,7 @@ def _geometric_sum(ratio: float, terms: int) -> float:
 
 def false_negative_bound(p_abs: float, p_qnd: float, rounds: int) -> float:
     """Worst-case weight absorbed at some round but never heralded."""
-    inputs = BoundInputs(p_abs, p_qnd, 0.0, rounds)
-    q_qnd = 1.0 - inputs.p_qnd
-    ratio = (1.0 - inputs.p_abs) * inputs.p_qnd
-    return inputs.p_abs * q_qnd * _geometric_sum(ratio, inputs.rounds)
+    return false_negative_ratio(p_abs, p_qnd, rounds) * (1.0 - p_qnd)
 
 
 def false_positive_bound(p_abs: float, p_dark: float, rounds: int) -> float:
@@ -80,10 +77,7 @@ def false_positive_bound(p_abs: float, p_dark: float, rounds: int) -> float:
     does not bound `ProtocolResult.false_positive_weight`, which charges
     p_dark on all weight outside A2 every round.
     """
-    inputs = BoundInputs(p_abs, 1.0, p_dark, rounds)
-    q_abs = 1.0 - inputs.p_abs
-    ratio = q_abs * (1.0 - inputs.p_dark)
-    return inputs.p_dark * q_abs * _geometric_sum(ratio, inputs.rounds)
+    return false_positive_ratio(p_abs, p_dark, rounds) * p_dark
 
 
 def false_negative_ratio(p_abs: float, p_qnd: float, rounds: int) -> float:

@@ -61,30 +61,6 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _running_fidelities(result) -> list[dict[BellLabel, float | None]]:
-    """Weighted average click fidelity per target, cumulative by round."""
-    totals = {label: 0.0 for label in BellLabel}
-    weighted = {label: 0.0 for label in BellLabel}
-    clicks = [
-        record for record in result.herald_log if record.herald_type is HeraldType.QND_CLICK
-    ]
-    per_round: list[dict[BellLabel, float | None]] = []
-    index = 0
-    for r in range(1, result.params.rounds + 1):
-        while index < len(clicks) and clicks[index].round <= r:
-            record = clicks[index]
-            totals[record.target] += record.weight
-            weighted[record.target] += record.weight * record.fidelity
-            index += 1
-        per_round.append(
-            {
-                label: (weighted[label] / totals[label] if totals[label] > 0 else None)
-                for label in BellLabel
-            }
-        )
-    return per_round
-
-
 def _objective_kwargs(options: dict[str, str]) -> dict:
     """The optimizer objective and fidelity floor the config sets."""
     kwargs: dict = {}
@@ -115,10 +91,14 @@ def cmd_run(options: dict[str, str], args: argparse.Namespace) -> str:
     if sampled is not None:
         header += ("mc_cumulative_success",)
     rows: list[tuple] = []
-    running = _running_fidelities(result)
+    # per round, the click heralds' running fidelity per target
+    weight, diagonal = result._herald_sums(HeraldType.QND_CLICK)
     for r in range(1, params.rounds + 1):
         row: tuple = (r, result.cumulative_success[r - 1])
-        row += tuple(running[r - 1][label] for label in BellLabel)
+        row += tuple(
+            diagonal[r - 1, label, 0] / weight[r - 1, label] if weight[r - 1, label] > 0 else None
+            for label in BellLabel
+        )
         if sampled is not None:
             row += (sampled.cumulative_success[r - 1],)
         rows.append(row)

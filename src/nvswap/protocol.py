@@ -21,7 +21,7 @@ the evolving operator is real and nonzero on at most 104 of its 1024 entries
 parameter set compiles, from the weighted Kraus terms in `channels`, real
 maps on that support: one no-click round map per flip kind (absorption,
 no-click, loss, dephasing, flip), and one herald map reading the click
-branch's reduced pair-13 block, its weight and the A2 population off a
+branch's reduced pair-13 block, its weight and its dark-click weight off a
 round's input state.  A pass (`_Scan`) evolves a stack of states, one
 column per run, where runs whose schedule is a prefix of the longest one
 share its column: each round is one matrix-vector product per column,
@@ -30,6 +30,10 @@ off the stored stack in a few array operations, so `optimize_rounds` scores
 all its candidates from one pass and `run_protocol` is the pass with one
 column and one stop.  The JointState channel functions stay the readable
 spec; the test suite runs a round loop on them as the oracle.
+
+Herald sums have one order (see `ProtocolResult._herald_sums`, the one walk
+over a herald log), which `_Scan` keeps too, so every consumer agrees bit
+for bit.
 
 Checks, each on every round of every column, reported at the first failing
 round: the click and no-click weights sum to the input weight within
@@ -214,29 +218,50 @@ class ProtocolResult:
 
     def pooled_fidelity(self, labels: tuple[BellLabel, ...] = tuple(BellLabel)) -> float | None:
         """Weight-averaged herald fidelity over the given targets."""
-        total = 0.0
-        acc = 0.0
-        for record in self.herald_log:
-            if record.target in labels:
-                total += record.weight
-                acc += record.weight * record.fidelity
-        if total <= 0.0:
-            return None
-        return acc / total
+        diagonal = self._pooled_diagonal(labels)
+        return None if diagonal is None else float(diagonal[0])
 
     @property
     def bell_diagonal(self) -> np.ndarray | None:
         """Average conditional Bell diagonal rotated into each herald's target
         frame (slot 0 = announced target), for relay composition."""
-        total = sum(record.weight for record in self.herald_log)
+        return self._pooled_diagonal(tuple(BellLabel))
+
+    def _pooled_diagonal(self, labels: tuple[BellLabel, ...]) -> np.ndarray | None:
+        # the per-target totals of the given targets, added in label order
+        weight, diagonal = self._herald_sums()
+        chosen = np.isin(np.arange(DIM_PAIR13), labels)
+        total = np.cumsum(np.where(chosen, weight[-1], 0.0))[-1]
         if total <= 0.0:
             return None
-        acc = np.zeros(DIM_PAIR13)
-        for record in self.herald_log:
+        return np.cumsum(np.where(chosen[:, None], diagonal[-1], 0.0), axis=0)[-1] / total
+
+    def _herald_sums(self, *types: HeraldType) -> tuple[np.ndarray, np.ndarray]:
+        """Running per-target sums over the heralds of the given types (all by
+        default), by round: weight[r - 1, t] is the weight of the heralds of
+        rounds 1..r announcing target t, and diagonal[r - 1, t, k] the sum of
+        their weights times conditional Bell diagonal entry k ^ t (so slot 0
+        sums weight times fidelity).
+
+        The one order in which heralds are summed: per target, in herald-log
+        order (clicks by round, then parity even and odd); pooled values add
+        the per-target totals in label order.
+        """
+        records = [r for r in self.herald_log if not types or r.herald_type in types]
+        # row 0 is the empty sum, row j the j-th record's terms under its target
+        terms = np.zeros((len(records) + 1, DIM_PAIR13, 1 + DIM_PAIR13))
+        slots = np.arange(DIM_PAIR13)
+        for j, record in enumerate(records, start=1):
             diag = np.real(np.diagonal(record.conditional_13))
-            for k in range(DIM_PAIR13):
-                acc[k] += record.weight * diag[k ^ record.target.value]
-        return acc / total
+            terms[j, record.target, 0] = record.weight
+            terms[j, record.target, 1:] = record.weight * diag[slots ^ record.target]
+        seen = np.searchsorted(
+            [record.round for record in records],
+            np.arange(1, self.params.rounds + 1),
+            side="right",
+        )
+        sums = np.cumsum(terms, axis=0)[seen]
+        return sums[..., 0], sums[..., 1:]
 
 
 def build_schedule(params: ProtocolParams) -> tuple[FlipKind, ...]:
@@ -296,6 +321,26 @@ def _parity_sectors(
     return sectors
 
 
+def _parity_records(
+    sectors: list[tuple], i: int, round_index: int, flips_applied: tuple[int, int]
+) -> list[HeraldRecord]:
+    """The heralds of state i of `_parity_sectors`' stack: one record per
+    parity outcome whose weight exceeds BRANCH_WEIGHT_FLOOR, even then odd."""
+    return [
+        HeraldRecord(
+            round=round_index,
+            flips_applied=flips_applied,
+            herald_type=herald_type,
+            weight=float(weights[i]),
+            conditional_13=conditional[i],
+            target=target,
+            fidelity=float(conditional[i, target, target].real),
+        )
+        for herald_type, target, weights, conditional in sectors
+        if weights[i] > BRANCH_WEIGHT_FLOOR
+    ]
+
+
 def final_parity_measurement(
     state: JointState,
     observable: str,
@@ -318,19 +363,7 @@ def final_parity_measurement(
         return []
     weight = np.array([state.weight])
     sectors = _parity_sectors(state.matrix[None], weight, observable, detector_eff)
-    return [
-        HeraldRecord(
-            round=round_index,
-            flips_applied=flips_applied,
-            herald_type=herald_type,
-            weight=float(weights[0]),
-            conditional_13=conditional[0],
-            target=target,
-            fidelity=float(conditional[0, target, target].real),
-        )
-        for herald_type, target, weights, conditional in sectors
-        if weights[0] > BRANCH_WEIGHT_FLOOR
-    ]
+    return _parity_records(sectors, 0, round_index, flips_applied)
 
 
 def _resolve_schedule(
@@ -444,9 +477,10 @@ class _Engine:
     A round is absorption, the herald split, then on the no-click branch
     photon loss, dephasing of all three spins and the scheduled flip.  Built
     once per parameter set: `herald`, which reads the click branch's reduced
-    pair-13 block (16 rows), its weight and the A2 population off the absorbed
-    state, and per flip kind the no-click round map.  Both include the
-    absorption, so both act on the state a round starts from.
+    pair-13 block (16 rows), its weight and its dark-click weight (the click
+    branch at p_qnd = 0) off the absorbed state, and per flip kind the
+    no-click round map.  Both include the absorption, so both act on the
+    state a round starts from.
     """
 
     def __init__(
@@ -456,9 +490,9 @@ class _Engine:
         absorb, leak = absorption_terms(p_abs, r_a1)
         absorbed = support.lift(leak) @ support.lift(absorb)
         click, noclick = qnd_terms(p_qnd, p_dark)
-        self.herald = np.vstack(
-            [support.herald_rows @ support.lift(click) @ absorbed, support.a2 @ absorbed]
-        )
+        dark, _ = qnd_terms(0.0, p_dark)
+        block = support.herald_rows @ support.lift(click) @ absorbed
+        self.herald = np.vstack([block, support.trace @ support.lift(dark) @ absorbed])
         base = support.lift(noclick) @ absorbed
         for terms in [loss_terms(p_loss)] + [dephasing_terms(eta, site) for site in ALL_SPINS]:
             base = support.lift(terms) @ base
@@ -589,7 +623,7 @@ class _Scan:
         # herald readout of each round's input state, then the round checks
         heralds = np.zeros((n, m, len(engine.herald)))
         heralds[live] = np.matmul(engine.herald, states[:-1][live][:, :, None])[..., 0]
-        click, a2 = heralds[..., -2], heralds[..., -1]
+        click, dark = heralds[..., -2], heralds[..., -1]
         broken = live & ~(np.abs(click + noclick - before) <= WEIGHT_ATOL)
         upper, lower = support.pairs
         skew = states[1:, :, upper]
@@ -619,7 +653,7 @@ class _Scan:
         fidelity = target_entry[..., 0] / np.where(recorded, click, 1.0)
         clicks = np.where(recorded, click, 0.0)
         weighted = np.where(recorded, clicks * fidelity, 0.0)
-        false_weights = np.where(recorded, params.p_dark * (before - a2), 0.0)
+        false_weights = np.where(recorded, dark, 0.0)
         per_target = targets[..., None] == np.arange(DIM_PAIR13)
         self._rounds = (blocks, clicks, fidelity, false_weights, targets, recorded, flips)
         self._cumulative = np.cumsum(clicks, axis=0)
@@ -628,38 +662,31 @@ class _Scan:
         at = (self.stop - 1, self.column)
         success = np.cumsum(np.where(per_target, clicks[..., None], 0.0), axis=0)[at]
         weighted_sum = np.cumsum(np.where(per_target, weighted[..., None], 0.0), axis=0)[at]
-        pooled_weight = self._cumulative[at]
-        pooled_sum = np.cumsum(weighted, axis=0)[at]
         self._false = np.cumsum(false_weights, axis=0)[at]
         finals = states[self.stop, self.column]
         weight = weights[self.stop, self.column]
+        # the floor emptied these runs: final state, weight, A2 weight and
+        # parity weights are exactly 0
         empty = weight <= BRANCH_WEIGHT_FLOOR
-        weight = np.where(empty, 0.0, weight)
         matrices = np.zeros((len(runs), DIM_TOTAL, DIM_TOTAL))
         matrices[:, support.rows, support.cols] = finals / np.where(empty, 1.0, weight)[:, None]
         if not empty.all():
             check_density(matrices[~empty])
         # the unnormalised A2 weight, one dot product per run, so that a run's
         # bits do not depend on how many runs the scan holds
-        a2_final = np.matmul(finals[:, None, :], support.a2[:, None])[:, 0, 0]
-        self.false_negative = np.where(empty, 0.0, a2_final)
+        self.false_negative = np.matmul(finals[:, None, :], support.a2[:, None])[:, 0, 0]
         parity = np.zeros(len(runs))
-        self._parity = []
+        self._sectors = []
         if params.approach == "A":
-            sectors = _parity_sectors(matrices, weight, params.flip_observable, params.detector_eff)
+            self._sectors = _parity_sectors(
+                matrices, weight, params.flip_observable, params.detector_eff
+            )
             # added after the clicks, even then odd, in the order of the herald log
-            for herald_type, target, herald_weights, conditional in sectors:
-                heralded = ~empty & (herald_weights > BRANCH_WEIGHT_FLOOR)
-                herald_weights = np.where(heralded, herald_weights, 0.0)
-                target_fidelity = np.where(heralded, conditional[:, target, target].real, 0.0)
-                parity = parity + herald_weights
-                success[:, target] += herald_weights
-                weighted_sum[:, target] += herald_weights * target_fidelity
-                pooled_weight = pooled_weight + herald_weights
-                pooled_sum = pooled_sum + herald_weights * target_fidelity
-                self._parity.append(
-                    (herald_type, target, heralded, herald_weights, conditional, target_fidelity)
-                )
+            for _, target, sector_weights, conditional in self._sectors:
+                heralded = np.where(sector_weights > BRANCH_WEIGHT_FLOOR, sector_weights, 0.0)
+                parity = parity + heralded
+                success[:, target] += heralded
+                weighted_sum[:, target] += heralded * conditional[:, target, target]
             self.failure, self.residual = weight - parity, np.zeros(len(runs))
         else:
             self.failure, self.residual = np.zeros(len(runs)), weight
@@ -670,9 +697,11 @@ class _Scan:
         self.fidelity = np.where(success > 0.0, weighted_sum, np.nan) / np.where(
             success > 0.0, success, 1.0
         )
-        self.pooled = np.where(pooled_weight > 0.0, pooled_sum, np.nan) / np.where(
-            pooled_weight > 0.0, pooled_weight, 1.0
-        )
+        # the per-target totals added in label order, as in pooled_fidelity
+        total = np.cumsum(success, axis=1)[:, -1]
+        self.pooled = np.where(
+            total > 0.0, np.cumsum(weighted_sum, axis=1)[:, -1], np.nan
+        ) / np.where(total > 0.0, total, 1.0)
 
     def result(self, i: int) -> ProtocolResult:
         """The ProtocolResult of run i."""
@@ -703,19 +732,7 @@ class _Scan:
             )
             for r, applied, weight, conditional, target, target_fidelity, false_weight in columns
         ]
-        for herald_type, target, heralded, weights, conditional, target_fidelity in self._parity:
-            if heralded[i]:
-                records.append(
-                    HeraldRecord(
-                        round=stop,
-                        flips_applied=tuple(flips[stop, c].tolist()),
-                        herald_type=herald_type,
-                        weight=float(weights[i]),
-                        conditional_13=conditional[i],
-                        target=target,
-                        fidelity=float(target_fidelity[i]),
-                    )
-                )
+        records += _parity_records(self._sectors, i, stop, tuple(flips[stop, c].tolist()))
         success = self.success[i].tolist()
         fidelity_i = self.fidelity[i].tolist()
         return ProtocolResult(

@@ -11,7 +11,7 @@ from nvswap.config import (
     get_pairs,
     parse_config_text,
 )
-from nvswap.protocol import ProtocolParams, run_protocol
+from nvswap.protocol import HeraldType, ProtocolParams, run_protocol
 from nvswap.states import DIM_TOTAL, BellLabel, JointState, StateValidationError
 
 
@@ -103,6 +103,31 @@ class TestCliRun:
         lines = capsys.readouterr().out.strip().splitlines()
         values = [float(line.split(",")[1]) for line in lines[1:-1]]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("approach,rounds", [("A", 10), ("B", 16)])
+    def test_round_rows_are_running_click_fidelities(self, tmp_path, capsys, approach, rounds):
+        text = f"approach = {approach}\nrounds = {rounds}\n"
+        text += "p_abs = 0.3\np_loss = 0.05\np_dark = 0.02\n"
+        assert cli.main(["run", "--config", write_config(tmp_path, "run.cfg", text)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        result = run_protocol(build_protocol_params(parse_config_text(text)))
+        clicks = [r for r in result.herald_log if r.herald_type is HeraldType.QND_CLICK]
+        # dark clicks (false weight) herald more than one target
+        assert len({r.target for r in clicks if r.false_weight > 0.0}) > 1
+        weight = dict.fromkeys(BellLabel, 0.0)
+        weighted = dict.fromkeys(BellLabel, 0.0)
+        for n, row in enumerate(rows[:-1], start=1):
+            for record in clicks:
+                if record.round == n:
+                    weight[record.target] += record.weight
+                    weighted[record.target] += record.weight * record.fidelity
+            assert row[2:] == [
+                f"{weighted[label] / weight[label]:.6g}" if weight[label] > 0.0 else ""
+                for label in BellLabel
+            ]
+        # the total row adds approach A's parity heralds
+        total = result.fidelity_per_target
+        assert rows[-1][2:] == [f"{total[label]:.6g}" for label in BellLabel]
 
     def test_trajectory_column_appears_and_is_seeded(self, tmp_path):
         cfg = write_config(tmp_path, "run.cfg", RUN_CFG)

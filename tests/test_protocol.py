@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvswap import protocol
@@ -339,6 +339,40 @@ class TestNoisyRuns:
         assert diagonal is not None
         assert diagonal.sum() == pytest.approx(1.0, abs=1e-10)
         assert diagonal[0] == pytest.approx(result.pooled_fidelity(), rel=1e-12)
+
+
+@st.composite
+def a_zz_custom_runs(draw):
+    rounds = draw(st.sampled_from([4, 6, 10, 16]))
+    params = ProtocolParams(
+        "A",
+        p_abs=draw(st.floats(0.05, 0.9)),
+        rounds=rounds,
+        p_qnd=draw(st.floats(0.5, 1.0)),
+        p_dark=draw(st.floats(0.0, 0.05)),
+        p_loss=draw(st.floats(0.0, 0.3)),
+        detector_eff=draw(st.floats(0.5, 1.0)),
+        flip_observable="ZZ",
+    )
+    kinds = st.lists(st.sampled_from(list(FlipKind)), min_size=rounds, max_size=rounds)
+    return params, tuple(draw(kinds))
+
+
+class TestHeraldSums:
+    """Every consumer sums heralds in one order (per target in herald-log
+    order, targets in label order), so these identities hold with ==."""
+
+    @given(case=a_zz_custom_runs())
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+    def test_pooled_views_agree_exactly(self, case):
+        result = run_protocol(*case)
+        clicked = {r.target for r in result.herald_log if r.herald_type is HeraldType.QND_CLICK}
+        parity = {r.target for r in result.herald_log if r.herald_type is not HeraldType.QND_CLICK}
+        # a target announced by both click and parity heralds
+        assume(clicked & parity)
+        for label in BellLabel:
+            assert result.pooled_fidelity((label,)) == result.fidelity_per_target[label]
+        assert result.bell_diagonal[0] == result.pooled_fidelity()
 
 
 # approach A over every even round count up to 64, from one pass of the longest
