@@ -27,7 +27,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .protocol import ProtocolParams, ProtocolResult, _scan
+# part of this module's API, stated next to the dephasing channel
+from .channels import dephasing_factor  # noqa: F401
+from .protocol import ProtocolParams, ProtocolResult, _Scan
 from .states import ParameterError, check_count, check_probability
 
 OBJECTIVE_CONSTRAINED = "max_success_at_min_fidelity"
@@ -37,20 +39,6 @@ DEFAULT_MIN_FIDELITY = {"A": 0.96, "B": 0.99}
 
 class NoFeasibleRoundsError(ValueError):
     """No candidate round count satisfied the optimization constraints."""
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    p_abs: float
-    p_qnd: float
-    p_dark: float
-    rounds: int
-
-    def __post_init__(self) -> None:
-        check_probability("p_abs", self.p_abs)
-        check_probability("p_qnd", self.p_qnd)
-        check_probability("p_dark", self.p_dark)
-        object.__setattr__(self, "rounds", check_count("rounds", self.rounds))
 
 
 def _geometric_sum(ratio: float, terms: int) -> float:
@@ -82,17 +70,16 @@ def false_positive_bound(p_abs: float, p_dark: float, rounds: int) -> float:
 
 def false_negative_ratio(p_abs: float, p_qnd: float, rounds: int) -> float:
     """false_negative_bound divided by q_qnd, finite even at p_qnd = 1."""
-    inputs = BoundInputs(p_abs, p_qnd, 0.0, rounds)
-    ratio = (1.0 - inputs.p_abs) * inputs.p_qnd
-    return inputs.p_abs * _geometric_sum(ratio, inputs.rounds)
+    p_abs = check_probability("p_abs", p_abs)
+    ratio = (1.0 - p_abs) * check_probability("p_qnd", p_qnd)
+    return p_abs * _geometric_sum(ratio, check_count("rounds", rounds))
 
 
 def false_positive_ratio(p_abs: float, p_dark: float, rounds: int) -> float:
     """false_positive_bound divided by p_dark, finite even at p_dark = 0."""
-    inputs = BoundInputs(p_abs, 1.0, p_dark, rounds)
-    q_abs = 1.0 - inputs.p_abs
-    ratio = q_abs * (1.0 - inputs.p_dark)
-    return q_abs * _geometric_sum(ratio, inputs.rounds)
+    q_abs = 1.0 - check_probability("p_abs", p_abs)
+    ratio = q_abs * (1.0 - check_probability("p_dark", p_dark))
+    return q_abs * _geometric_sum(ratio, check_count("rounds", rounds))
 
 
 def lorentzian_suppression(detuning: float, linewidth: float) -> float:
@@ -107,15 +94,6 @@ def spectral_width(lifetime: float) -> float:
     if lifetime <= 0.0:
         raise ParameterError(f"lifetime must be positive, got {lifetime!r}")
     return 1.0 / (math.pi * lifetime)
-
-
-def dephasing_factor(tau: float, t2: float) -> float:
-    """Coherence factor exp(-(tau/t2)^2) accumulated over a delay tau."""
-    if t2 <= 0.0:
-        raise ParameterError(f"t2 must be positive, got {t2!r}")
-    if tau < 0.0:
-        raise ParameterError(f"tau must be nonnegative, got {tau!r}")
-    return math.exp(-((tau / t2) ** 2))
 
 
 def db_to_probability(loss_db: float) -> float:
@@ -206,7 +184,7 @@ def optimize_rounds(
     runs = [ProtocolParams(approach, p_abs=p_abs, rounds=r, **protocol_kwargs) for r in scan]
     best = None  # (score, scan, index) of the best candidate so far
     for chunk in _chunks(runs) if approach == "B" else (runs,):
-        evaluated = _scan(chunk)
+        evaluated = _Scan(chunk)
         if objective == OBJECTIVE_CONSTRAINED:
             # the worst realized per-target fidelity; nan marks a target without heralds
             heralded = ~np.isnan(evaluated.fidelity)

@@ -29,6 +29,7 @@ protocol engine lifts the same terms to superoperators.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -44,6 +45,7 @@ from .states import (
     SLOT_SPIN_DOWN,
     SLOT_SPIN_UP,
     JointState,
+    ParameterError,
     check_probability,
 )
 
@@ -220,6 +222,15 @@ def dephasing_terms(eta: float, site: SpinSite) -> Terms:
     """Identity with probability (1+eta)/2, spin exchange on `site` otherwise."""
     eta = check_probability("eta", eta)
     return (((1.0 + eta) / 2.0, IDENTITY), ((1.0 - eta) / 2.0, DEPHASING_UNITARIES[site]))
+
+
+def dephasing_factor(tau: float, t2: float) -> float:
+    """Coherence factor exp(-(tau/t2)^2) accumulated over a delay tau."""
+    if t2 <= 0.0:
+        raise ParameterError(f"t2 must be positive, got {t2!r}")
+    if tau < 0.0:
+        raise ParameterError(f"tau must be nonnegative, got {tau!r}")
+    return math.exp(-((tau / t2) ** 2))
 
 
 def flip_terms(kind: FlipKind) -> Terms:

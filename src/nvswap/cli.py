@@ -30,7 +30,6 @@ from .config import (
     load_config,
     protocol_kwargs,
     resolve_approach,
-    resolve_loss,
 )
 from .protocol import DEFAULT_P_DARK, DEFAULT_P_QND, HeraldType, run_protocol
 from .states import BellLabel, ParameterError, StateValidationError, check_seed
@@ -63,22 +62,16 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 def _objective_kwargs(options: dict[str, str]) -> dict:
     """The optimizer objective and fidelity floor the config sets."""
-    kwargs: dict = {}
+    kwargs: dict = {"min_fidelity": get_float(options, "min_fidelity", None)}
     if "objective" in options:
         kwargs["objective"] = options["objective"]
-    if "min_fidelity" in options:
-        kwargs["min_fidelity"] = get_float(options, "min_fidelity")
     return kwargs
 
 
-def cmd_run(options: dict[str, str], args: argparse.Namespace) -> str:
-    params = build_protocol_params(options, args.approach)
-    trajectories = args.trajectories
-    if trajectories is None and "trajectories" in options:
-        trajectories = get_int(options, "trajectories")
-    seed = args.seed
-    if seed is None and "seed" in options:
-        seed = get_int(options, "seed")
+def cmd_run(options: dict[str, str]) -> str:
+    params = build_protocol_params(options)
+    trajectories = get_int(options, "trajectories", None)
+    seed = get_int(options, "seed", None)
     check_seed(seed)
 
     # the sampler checks its count before any work, so it runs first
@@ -110,12 +103,10 @@ def cmd_run(options: dict[str, str], args: argparse.Namespace) -> str:
     return _csv(header, rows)
 
 
-def cmd_bounds(options: dict[str, str], args: argparse.Namespace) -> str:
-    if "bounds_pairs" not in options:
-        raise ConfigError("key 'bounds_pairs' is required (format 'p_abs:rounds, ...')")
+def cmd_bounds(options: dict[str, str]) -> str:
     pairs = get_pairs(options, "bounds_pairs")
-    p_qnd = get_float(options, "p_qnd") if "p_qnd" in options else DEFAULT_P_QND
-    p_dark = get_float(options, "p_dark") if "p_dark" in options else DEFAULT_P_DARK
+    p_qnd = get_float(options, "p_qnd", DEFAULT_P_QND)
+    p_dark = get_float(options, "p_dark", DEFAULT_P_DARK)
     rows = [
         (
             p_abs,
@@ -128,28 +119,16 @@ def cmd_bounds(options: dict[str, str], args: argparse.Namespace) -> str:
     return _csv(("p_abs", "rounds", "fn_over_q_qnd", "fp_over_p_dark"), rows)
 
 
-def cmd_sweep(options: dict[str, str], args: argparse.Namespace) -> str:
-    approach = resolve_approach(options, args.approach)
-    for key in ("p_abs_axis", "p_loss_axis"):
-        if key not in options:
-            raise ConfigError(f"key {key!r} is required")
-    optimize_l = get_bool(options, "optimize_l") if "optimize_l" in options else False
-    kwargs = protocol_kwargs(options)
-    sweep_kwargs = _objective_kwargs(options)
-    if optimize_l:
-        if "rounds" in options:
-            raise ConfigError("key 'rounds' must be omitted when optimize_l is set")
-    else:
-        if "rounds" not in options:
-            raise ConfigError("key 'rounds' is required when optimize_l is not set")
-        sweep_kwargs["rounds"] = get_int(options, "rounds")
+def cmd_sweep(options: dict[str, str]) -> str:
+    approach = resolve_approach(options)
     grid = sweep(
         get_float_list(options, "p_abs_axis"),
         get_float_list(options, "p_loss_axis"),
         approach,
-        optimize_l=optimize_l,
-        **sweep_kwargs,
-        **kwargs,
+        rounds=get_int(options, "rounds", None),
+        optimize_l=get_bool(options, "optimize_l", False),
+        **_objective_kwargs(options),
+        **protocol_kwargs(options),
     )
     header = ("p_abs", "p_loss", "approach", "rounds_used", "total_success") + FIDELITY_COLUMNS
     rows = [
@@ -166,30 +145,22 @@ def cmd_sweep(options: dict[str, str], args: argparse.Namespace) -> str:
     return _csv(header, rows)
 
 
-def cmd_chain(options: dict[str, str], args: argparse.Namespace) -> str:
-    if "hops" not in options:
-        raise ConfigError("key 'hops' is required")
+def cmd_chain(options: dict[str, str]) -> str:
     hops = get_int(options, "hops")
     if hops < 1:
         raise ConfigError(f"key 'hops' must be at least 1, got {hops}")
-    params = build_protocol_params(options, args.approach)
+    params = build_protocol_params(options)
     chain = relay_chain(RelayChainSpec.uniform(params, hops))
     rows = list(zip(range(1, hops + 1), chain.success_prefix, chain.fidelity_prefix))
     return _csv(("hops", "chain_success", "chain_fidelity"), rows)
 
 
-def cmd_optimize(options: dict[str, str], args: argparse.Namespace) -> str:
-    approach = resolve_approach(options, args.approach)
-    if "p_abs" not in options:
-        raise ConfigError("key 'p_abs' is required")
-    kwargs = protocol_kwargs(options)
-    opt_kwargs = _objective_kwargs(options)
+def cmd_optimize(options: dict[str, str]) -> str:
     outcome = optimize_rounds(
-        approach,
+        resolve_approach(options),
         get_float(options, "p_abs"),
-        p_loss=resolve_loss(options),
-        **opt_kwargs,
-        **kwargs,
+        **_objective_kwargs(options),
+        **protocol_kwargs(options),
     )
     header = ("rounds", "l_z", "l_x", "total_success") + FIDELITY_COLUMNS
     row = (
@@ -244,7 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         options = load_config(args.config)
         check_keys(options, args.command)
-        text = _COMMANDS[args.command](options, args)
+        # a flag given on the command line replaces its config key
+        for key in ("approach", "seed", "trajectories"):
+            if getattr(args, key, None) is not None:
+                options[key] = str(getattr(args, key))
+        text = _COMMANDS[args.command](options)
     except (ConfigError, ParameterError, NoFeasibleRoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,44 +84,62 @@ def check_keys(options: dict[str, str], command: str) -> None:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
 
 
-def get_float(options: dict[str, str], key: str) -> float:
+# a getter called without a default requires its key
+_NO_DEFAULT = object()
+
+
+def _required(options: dict[str, str], key: str) -> str:
+    if key not in options:
+        raise ConfigError(f"key {key!r} is required")
+    return options[key]
+
+
+def get_float(options: dict[str, str], key: str, default: object = _NO_DEFAULT) -> float | None:
+    if key not in options and default is not _NO_DEFAULT:
+        return default
+    value = _required(options, key)
     try:
-        return float(options[key])
+        return float(value)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {options[key]!r}") from exc
+        raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from exc
 
 
-def get_int(options: dict[str, str], key: str) -> int:
-    value = options[key]
+def get_int(options: dict[str, str], key: str, default: object = _NO_DEFAULT) -> int | None:
+    if key not in options and default is not _NO_DEFAULT:
+        return default
+    value = _required(options, key)
     try:
         return int(value)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from exc
 
 
-def get_bool(options: dict[str, str], key: str) -> bool:
-    value = options[key].lower()
-    if value in ("true", "yes", "1", "on"):
+def get_bool(options: dict[str, str], key: str, default: object = _NO_DEFAULT) -> bool | None:
+    if key not in options and default is not _NO_DEFAULT:
+        return default
+    value = _required(options, key)
+    if value.lower() in ("true", "yes", "1", "on"):
         return True
-    if value in ("false", "no", "0", "off"):
+    if value.lower() in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {options[key]!r}")
+    raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
 
 
 def get_float_list(options: dict[str, str], key: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in options[key].split(",") if p.strip()]
+    value = _required(options, key)
+    parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"key {key!r}: expected a comma-separated list of numbers")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected numbers, got {options[key]!r}") from exc
+        raise ConfigError(f"key {key!r}: expected numbers, got {value!r}") from exc
 
 
 def get_pairs(options: dict[str, str], key: str) -> tuple[tuple[float, int], ...]:
     """Parse 'p_abs:L, p_abs:L, ...' pairs."""
     pairs = []
-    for chunk in options[key].split(","):
+    for chunk in _required(options, key).split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -139,60 +157,39 @@ def get_pairs(options: dict[str, str], key: str) -> tuple[tuple[float, int], ...
     return tuple(pairs)
 
 
-def resolve_loss(options: dict[str, str]) -> float:
-    if "p_loss" in options and "loss_db" in options:
-        raise ConfigError("give either p_loss or loss_db, not both")
-    if "loss_db" in options:
-        return db_to_probability(get_float(options, "loss_db"))
-    if "p_loss" in options:
-        return get_float(options, "p_loss")
-    return 0.0
-
-
-def resolve_approach(options: dict[str, str], override: str | None) -> str:
-    approach = override if override is not None else options.get("approach")
-    if approach is None:
+def resolve_approach(options: dict[str, str]) -> str:
+    if "approach" not in options:
         raise ConfigError("key 'approach' is required (or pass --approach)")
-    if approach not in ("A", "B"):
-        raise ConfigError(f"approach must be 'A' or 'B', got {approach!r}")
-    return approach
+    return options["approach"]
 
 
 def protocol_kwargs(options: dict[str, str]) -> dict[str, float | str]:
     """The optional ProtocolParams fields the config sets, shared by every command."""
     kwargs: dict[str, float | str] = {}
-    for key in ("r_a1", "p_qnd", "p_dark"):
+    for key in ("r_a1", "p_qnd", "p_dark", "p_loss", "detector_eff"):
         if key in options:
             kwargs[key] = get_float(options, key)
+    for key in ("l_z", "l_x"):
+        if key in options:
+            kwargs[key] = get_int(options, key)
+    if "loss_db" in options:
+        if "p_loss" in options:
+            raise ConfigError("give either p_loss or loss_db, not both")
+        kwargs["p_loss"] = db_to_probability(get_float(options, "loss_db"))
     if "tau_ns" in options:
         kwargs["tau_cycle"] = get_float(options, "tau_ns") * 1e-9
     if "t2_us" in options:
         kwargs["t2"] = get_float(options, "t2_us") * 1e-6
-    if "detector_eff" in options:
-        kwargs["detector_eff"] = get_float(options, "detector_eff")
     if "flip_observable" in options:
         kwargs["flip_observable"] = options["flip_observable"]
     return kwargs
 
 
-def build_protocol_params(
-    options: dict[str, str], approach_override: str | None = None
-) -> ProtocolParams:
+def build_protocol_params(options: dict[str, str]) -> ProtocolParams:
     """Assemble ProtocolParams for the run/chain commands."""
-    approach = resolve_approach(options, approach_override)
-    if "p_abs" not in options:
-        raise ConfigError("key 'p_abs' is required")
-    if "rounds" not in options:
-        raise ConfigError("key 'rounds' is required")
-    kwargs = protocol_kwargs(options)
-    if "l_z" in options:
-        kwargs["l_z"] = get_int(options, "l_z")
-    if "l_x" in options:
-        kwargs["l_x"] = get_int(options, "l_x")
     return ProtocolParams(
-        approach,
+        resolve_approach(options),
         p_abs=get_float(options, "p_abs"),
         rounds=get_int(options, "rounds"),
-        p_loss=resolve_loss(options),
-        **kwargs,
+        **protocol_kwargs(options),
     )

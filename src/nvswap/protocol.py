@@ -17,12 +17,12 @@ equal the initial weight to float precision.
 
 Engine.  Every channel is linear on the unnormalized density operator, and
 the evolving operator is real and nonzero on at most 104 of its 1024 entries
-(the initial pattern closed under every channel's Kraus operators).  So each
-parameter set compiles, from the weighted Kraus terms in `channels`, real
-maps on that support: one no-click round map per flip kind (absorption,
-no-click, loss, dephasing, flip), and one herald map reading the click
-branch's reduced pair-13 block, its weight and its dark-click weight off a
-round's input state.  A pass (`_Scan`) evolves a stack of states, one
+(the initial pattern closed under every channel's Kraus operators).  So a
+pass compiles its parameter set, from the weighted Kraus terms in `channels`,
+to real maps on that support (`_compile`): one no-click round map per flip
+kind it uses (absorption, no-click, loss, dephasing, flip), and one herald
+map reading the click branch's reduced pair-13 block, its weight and its
+dark-click weight off a round's input state.  A pass (`_Scan`) evolves a stack of states, one
 column per run, where runs whose schedule is a prefix of the longest one
 share its column: each round is one matrix-vector product per column,
 grouped by flip kind.  The herald readout, the checks and the aggregates are then read
@@ -49,7 +49,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .channels import (
     FlipKind,
     Terms,
     absorption_terms,
+    dephasing_factor,
     dephasing_terms,
     flip_terms,
     loss_terms,
@@ -165,7 +166,7 @@ class ProtocolParams:
     @property
     def eta_per_cycle(self) -> float:
         """Per-cycle spin coherence retention exp(-(tau_cycle/t2)^2)."""
-        return math.exp(-((self.tau_cycle / self.t2) ** 2))
+        return dephasing_factor(self.tau_cycle, self.t2)
 
 
 @dataclass(frozen=True)
@@ -390,17 +391,7 @@ def run_protocol(
     `schedule` overrides the approach's flip schedule (same length as
     rounds); the default is build_schedule(params).
     """
-    return _scan((params,), (_resolve_schedule(params, schedule),)).result(0)
-
-
-def _scan(
-    runs: Sequence[ProtocolParams], schedules: Sequence[tuple[FlipKind, ...]] | None = None
-) -> _Scan:
-    """Evaluate runs that differ only in rounds (and approach B's flip periods)
-    in one pass; `schedules` defaults to each run's build_schedule."""
-    if schedules is None:
-        schedules = [build_schedule(run) for run in runs]
-    return _Scan(_engine(runs[0]), runs, schedules, _support().initial)
+    return _Scan((params,), (_resolve_schedule(params, schedule),)).result(0)
 
 
 class _Support:
@@ -471,59 +462,44 @@ class _Support:
 _support = functools.cache(_Support)
 
 
-class _Engine:
+def _compile(
+    params: ProtocolParams, codes: Iterable[int]
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """One parameter set's rounds, compiled to real maps on the support.
 
     A round is absorption, the herald split, then on the no-click branch
-    photon loss, dephasing of all three spins and the scheduled flip.  Built
-    once per parameter set: `herald`, which reads the click branch's reduced
-    pair-13 block (16 rows), its weight and its dark-click weight (the click
-    branch at p_qnd = 0) off the absorbed state, and per flip kind the
-    no-click round map.  Both include the absorption, so both act on the
-    state a round starts from.
+    photon loss, dephasing of all three spins and the scheduled flip.
+    Returns the herald map, which reads the click branch's reduced pair-13
+    block (16 rows), its weight and its dark-click weight (the click branch
+    at p_qnd = 0) off the absorbed state, and the no-click round map of each
+    given flip-kind code (an index into _KINDS).  Both include the
+    absorption, so both act on the state a round starts from.
     """
-
-    def __init__(
-        self, p_abs: float, r_a1: float, p_qnd: float, p_dark: float, p_loss: float, eta: float
-    ) -> None:
-        support = _support()
-        absorb, leak = absorption_terms(p_abs, r_a1)
-        absorbed = support.lift(leak) @ support.lift(absorb)
-        click, noclick = qnd_terms(p_qnd, p_dark)
-        dark, _ = qnd_terms(0.0, p_dark)
-        block = support.herald_rows @ support.lift(click) @ absorbed
-        self.herald = np.vstack([block, support.trace @ support.lift(dark) @ absorbed])
-        base = support.lift(noclick) @ absorbed
-        for terms in [loss_terms(p_loss)] + [dephasing_terms(eta, site) for site in ALL_SPINS]:
-            base = support.lift(terms) @ base
-        self._maps = {FlipKind.NONE: base}
-
-    def round_map(self, kind: FlipKind) -> np.ndarray:
-        round_map = self._maps.get(kind)
-        if round_map is None:
-            round_map = _support().lift(flip_terms(kind)) @ self._maps[FlipKind.NONE]
-            self._maps[kind] = round_map
-        return round_map
-
-    def advance(self, kind: FlipKind, states: np.ndarray) -> np.ndarray:
-        """One round of the given flip kind on a (k, 104) stack of states.
-
-        A stacked matmul is one matrix-vector product per state, so a state's
-        result does not depend on the other states in the stack.
-        """
-        return np.matmul(self.round_map(kind), states[:, :, None])[:, :, 0]
+    support = _support()
+    absorb, leak = absorption_terms(params.p_abs, params.r_a1)
+    absorbed = support.lift(leak) @ support.lift(absorb)
+    click, noclick = qnd_terms(params.p_qnd, params.p_dark)
+    dark, _ = qnd_terms(0.0, params.p_dark)
+    block = support.herald_rows @ support.lift(click) @ absorbed
+    herald = np.vstack([block, support.trace @ support.lift(dark) @ absorbed])
+    base = support.lift(noclick) @ absorbed
+    eta = params.eta_per_cycle
+    for terms in [loss_terms(params.p_loss)] + [dephasing_terms(eta, site) for site in ALL_SPINS]:
+        base = support.lift(terms) @ base
+    maps = {}
+    for code in codes:
+        kind = _KINDS[code]
+        maps[code] = base if kind is FlipKind.NONE else support.lift(flip_terms(kind)) @ base
+    return herald, maps
 
 
-# the last engine serves the next run at its parameters in any rounds or schedule:
-# chunked custom-candidate B scans, non-uniform chains' hops and repeated calls
-_compile = functools.lru_cache(maxsize=1)(_Engine)
+def _advance(round_map: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """One round of a compiled round map on a (k, 104) stack of states.
 
-
-def _engine(params: ProtocolParams) -> _Engine:
-    return _compile(
-        params.p_abs, params.r_a1, params.p_qnd, params.p_dark, params.p_loss,
-        params.eta_per_cycle,
-    )
+    A stacked matmul is one matrix-vector product per state, so a state's
+    result does not depend on the other states in the stack.
+    """
+    return np.matmul(round_map, states[:, :, None])[:, :, 0]
 
 
 _KINDS = tuple(FlipKind)
@@ -555,27 +531,32 @@ class _Scan:
     The longest schedule is the first column of a stack of states; a run
     whose schedule is a prefix of it stops on that column, any other run gets
     a column of its own.  So approach A's round counts share one column and approach
-    B's have one each.  The round loop applies, per flip kind present, that
-    kind's map to its columns (`_Engine.advance`) and stores the states.
+    B's have one each.  The maps are compiled once, for the flip kinds the
+    schedules use, and the round loop applies, per flip kind present, that
+    kind's map to its columns (`_advance`) and stores the states.
     Everything else is read off the stored stack at once: the herald
     readout, the checks (see the module docstring), the branch floor (a
     no-click weight at or below BRANCH_WEIGHT_FLOOR empties the column from
     that round on, as in a round-by-round loop), the cumulative sums, and
     per run the final state, its parity outcomes (approach A) and the
     arrays `optimize_rounds` scores.  `result(i)` builds run i's
-    ProtocolResult from those arrays.
+    ProtocolResult from those arrays.  `schedules` defaults to each run's
+    build_schedule, and `rho`, the initial density matrix, to the protocol's.
     """
 
     def __init__(
         self,
-        engine: _Engine,
         runs: Sequence[ProtocolParams],
-        schedules: Sequence[tuple[FlipKind, ...]],
-        rho: np.ndarray,
+        schedules: Sequence[tuple[FlipKind, ...]] | None = None,
+        rho: np.ndarray | None = None,
     ) -> None:
         support = _support()
         self.runs = tuple(runs)
         params = self.runs[0]
+        if schedules is None:
+            schedules = [build_schedule(run) for run in runs]
+        if rho is None:
+            rho = support.initial
         # longest first, so that a round's columns tend to form slices
         columns: list[tuple[FlipKind, ...]] = []
         self.column = np.zeros(len(runs), dtype=int)
@@ -598,15 +579,16 @@ class _Scan:
             for r, code in enumerate(column):
                 groups[r][code].append(c)
         plan = [
-            (r, _KINDS[code], _index(cols))
+            (r, code, _index(cols))
             for r, group in enumerate(groups, start=1)
             for code, cols in enumerate(group)
             if cols
         ]
+        herald, maps = _compile(params, {code for _, code, _ in plan})
         states = np.zeros((n + 1, m, len(support.rows)))
         states[0] = rho[support.rows, support.cols]
-        for r, kind, cols in plan:
-            states[r, cols] = engine.advance(kind, states[r - 1, cols])
+        for r, code, cols in plan:
+            states[r, cols] = _advance(maps[code], states[r - 1, cols])
         # flips[r]: (phase, polarisation) flips applied in the first r rounds
         flips = np.zeros((n + 1, m, 2), dtype=int)
         flips[1:] = np.cumsum(_FLIP_COUNTS[codes], axis=0)
@@ -621,8 +603,8 @@ class _Scan:
         before = weights[:-1]
 
         # herald readout of each round's input state, then the round checks
-        heralds = np.zeros((n, m, len(engine.herald)))
-        heralds[live] = np.matmul(engine.herald, states[:-1][live][:, :, None])[..., 0]
+        heralds = np.zeros((n, m, len(herald)))
+        heralds[live] = np.matmul(herald, states[:-1][live][:, :, None])[..., 0]
         click, dark = heralds[..., -2], heralds[..., -1]
         broken = live & ~(np.abs(click + noclick - before) <= WEIGHT_ATOL)
         upper, lower = support.pairs

@@ -102,6 +102,10 @@ def basis_index(i13: int, j2p: int) -> int:
 
 
 def check_probability(name: str, value: float) -> float:
+    """A number in [0, 1], returned as a float.  Text and bools are rejected,
+    not converted: float() would accept "0.5" and True."""
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise ParameterError(f"{name} must be a probability in [0, 1], got {value!r}")
     value = float(value)
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must be a probability in [0, 1], got {value!r}")

@@ -54,12 +54,9 @@ class SweepGrid:
 
 
 def _validate_axis(name: str, axis: Sequence[float]) -> tuple[float, ...]:
-    values = tuple(float(v) for v in axis)
+    values = tuple(check_probability(name, v) for v in axis)
     if not values:
         raise ParameterError(f"{name} must not be empty")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ParameterError(f"{name} values must lie in [0, 1], got {v!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError(f"{name} must be strictly increasing")
     return values

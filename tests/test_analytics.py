@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import nvswap.protocol
 from nvswap.analytics import (
-    BoundInputs,
     DEFAULT_MIN_FIDELITY,
     NoFeasibleRoundsError,
     OBJECTIVE_CONSTRAINED,
@@ -25,7 +24,7 @@ from nvswap.analytics import (
 from nvswap.protocol import ProtocolParams, run_protocol
 from nvswap.states import ParameterError
 
-from util import NO_SHRINK, assert_results_identical
+from util import NO_SHRINK, NOT_NUMBERS, assert_results_identical
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 round_counts = st.integers(min_value=1, max_value=80)
@@ -106,12 +105,22 @@ class TestBoundFormulas:
         with pytest.raises(ParameterError):
             false_positive_bound(0.5, 2e-4, True)
 
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_rejects_text_or_bool_probabilities(self, value):
+        # false_negative_bound("0.5", 0.99, 4) raised a bare TypeError
+        with pytest.raises(ParameterError, match="^p_abs must be a probability"):
+            false_negative_bound(value, 0.99, 4)
+        with pytest.raises(ParameterError, match="^p_qnd must be a probability"):
+            false_negative_bound(0.5, value, 4)
+        with pytest.raises(ParameterError, match="^p_dark must be a probability"):
+            false_positive_bound(0.5, value, 4)
+
     def test_accepts_integral_rounds(self):
-        inputs = BoundInputs(0.5, 0.99, 2e-4, np.int64(16))
-        assert type(inputs.rounds) is int
-        assert inputs == BoundInputs(0.5, 0.99, 2e-4, 16)
         assert false_negative_bound(0.5, 0.99, np.int32(16)) == false_negative_bound(
             0.5, 0.99, 16
+        )
+        assert false_positive_bound(0.5, 2e-4, np.int64(16)) == false_positive_bound(
+            0.5, 2e-4, 16
         )
 
     @given(p_abs=probabilities, p_qnd=probabilities, rounds=round_counts)
@@ -302,14 +311,14 @@ class TestOptimizeRounds:
         kwargs = dict(p_loss=0.05, detector_eff=0.9)
         whole = optimize_rounds("B", 0.6, candidates=range(4, 41, 4), **kwargs)
         stacks = []
-        scan = nvswap.analytics._scan
+        scan = nvswap.analytics._Scan
 
         def recording(runs):
             stacks.append((len(runs), max(run.rounds for run in runs)))
             return scan(runs)
 
         monkeypatch.setattr(nvswap.analytics, "_SCAN_STATES", 60)
-        monkeypatch.setattr(nvswap.analytics, "_scan", recording)
+        monkeypatch.setattr(nvswap.analytics, "_Scan", recording)
         chunked = optimize_rounds("B", 0.6, candidates=range(4, 41, 4), **kwargs)
         assert len(stacks) > 1 and sum(n for n, _ in stacks) == 10
         assert all(n == 1 or n * (rounds + 1) <= 60 for n, rounds in stacks)
@@ -346,17 +355,22 @@ class TestOptimizeRounds:
         # every round of every column, absorption included, is one state in a
         # stack the compiled engine advances
         column_rounds = []
-        advance = nvswap.protocol._Engine.advance
+        advance = nvswap.protocol._advance
 
-        def counting(engine, kind, states):
+        def counting(round_map, states):
             column_rounds.append(len(states))
-            return advance(engine, kind, states)
+            return advance(round_map, states)
 
-        monkeypatch.setattr(nvswap.protocol._Engine, "advance", counting)
+        monkeypatch.setattr(nvswap.protocol, "_advance", counting)
         optimize_rounds(
             approach, 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED, candidates=candidates
         )
         assert sum(column_rounds) == evolved
+
+    @pytest.mark.parametrize("min_fidelity", NOT_NUMBERS)
+    def test_text_or_bool_min_fidelity_rejected(self, min_fidelity):
+        with pytest.raises(ParameterError, match="^min_fidelity must be a probability"):
+            optimize_rounds("B", 0.3, min_fidelity=min_fidelity, candidates=[4, 8])
 
     def test_unreachable_threshold_reported(self):
         with pytest.raises(NoFeasibleRoundsError):

@@ -28,6 +28,7 @@ from nvswap.states import (
 )
 from util import (
     BELL_COLUMNS,
+    NOT_NUMBERS,
     PAULI_X,
     PAULI_Z,
     assert_states_close,
@@ -338,3 +339,19 @@ def test_signed_permutation_matrix_conjugates_like_the_table(rng):
     assert np.array_equal(signed_permutation_matrix(perm, sign), u)
     direct = flip_channel(state, FlipKind.BOTH).matrix
     assert np.abs(direct - u @ state.matrix @ u.conj().T).max() <= 1e-13
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_channels_reject_text_or_bool_probabilities(value):
+    state = make_initial_state()
+    calls = [
+        lambda: absorption_channel(state, value, 0.0),
+        lambda: absorption_channel(state, 0.5, value),
+        lambda: qnd_povm(state, value, 0.0),
+        lambda: qnd_povm(state, 0.99, value),
+        lambda: photon_loss_channel(state, value),
+        lambda: dephasing_channel(state, value),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be a probability"):
+            call()

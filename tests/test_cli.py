@@ -8,6 +8,10 @@ from nvswap import cli
 from nvswap.config import (
     ConfigError,
     build_protocol_params,
+    get_bool,
+    get_float,
+    get_float_list,
+    get_int,
     get_pairs,
     parse_config_text,
 )
@@ -55,6 +59,17 @@ class TestConfigParsing:
             get_pairs({"x": "0.5-16"}, "x")
         with pytest.raises(ConfigError):
             get_pairs({"x": "0.5:abc"}, "x")
+
+    @pytest.mark.parametrize("getter", [get_float, get_int, get_bool, get_float_list, get_pairs])
+    def test_getters_require_a_key_without_default(self, getter):
+        with pytest.raises(ConfigError, match="^key 'x' is required$"):
+            getter({}, "x")
+
+    def test_getters_return_the_default_of_a_missing_key(self):
+        assert get_float({}, "x", 0.5) == 0.5
+        assert get_int({}, "x", None) is None
+        assert get_bool({}, "x", False) is False
+        assert get_int({"x": "3"}, "x", None) == 3
 
     def test_unit_suffixed_keys_convert(self):
         params = build_protocol_params(
@@ -148,6 +163,17 @@ class TestCliRun:
         out = capsys.readouterr().out
         result = run_protocol(ProtocolParams("A", p_abs=0.5, rounds=10))
         assert out.strip().splitlines()[-1].split(",")[1] == f"{result.total_success:.6g}"
+
+    def test_seed_and_trajectory_flags_override_config(self, tmp_path, capsys):
+        keyed = RUN_CFG + "trajectories = 0\nseed = -3\n"
+        cfg = write_config(tmp_path, "flagged.cfg", keyed)
+        flags = ["--trajectories", "50", "--seed", "3"]
+        assert cli.main(["run", "--config", cfg, *flags]) == 0
+        flagged = capsys.readouterr().out
+        cfg = write_config(tmp_path, "keyed.cfg", RUN_CFG + "trajectories = 50\nseed = 3\n")
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert flagged == capsys.readouterr().out
+        assert flagged.splitlines()[0].endswith("mc_cumulative_success")
 
 
 class TestCliErrors:

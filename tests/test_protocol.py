@@ -3,12 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nvswap import protocol
+from nvswap import analytics, protocol
+from nvswap.analytics import OBJECTIVE_WEIGHTED, optimize_rounds
 from nvswap.channels import FlipKind
 from nvswap.protocol import (
     HeraldType,
     ProtocolParams,
-    _scan,
+    _Scan,
     build_schedule,
     epoch_target,
     final_parity_measurement,
@@ -23,8 +24,15 @@ from nvswap.states import (
     basis_index,
     make_initial_state,
 )
+from nvswap.sweep import RelayChainSpec, relay_chain
 
-from util import NO_SHRINK, assert_results_close, assert_results_identical, reference_run
+from util import (
+    NO_SHRINK,
+    NOT_NUMBERS,
+    assert_results_close,
+    assert_results_identical,
+    reference_run,
+)
 
 
 def ideal_params(approach: str, rounds: int, **overrides) -> ProtocolParams:
@@ -88,6 +96,15 @@ class TestProtocolParams:
     def test_rejects_non_integral_or_bool_rounds(self, rounds):
         with pytest.raises(ParameterError):
             ProtocolParams("B", p_abs=0.5, rounds=rounds)
+
+    @pytest.mark.parametrize(
+        "field", ["p_abs", "r_a1", "p_qnd", "p_dark", "p_loss", "detector_eff"]
+    )
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_rejects_text_or_bool_probabilities(self, field, value):
+        # "0.5" was stored as given: run_protocol ran, run_trajectories raised TypeError
+        with pytest.raises(ParameterError, match=f"^{field} must be a probability"):
+            ProtocolParams("B", rounds=4, **{"p_abs": 0.5, field: value})
 
     def test_rejects_non_integral_flip_periods(self):
         with pytest.raises(ParameterError):
@@ -251,6 +268,11 @@ class TestFinalParityMeasurement:
     def test_empty_state_yields_nothing(self):
         assert final_parity_measurement(JointState.empty(), "XX", 1.0) == []
 
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_rejects_text_or_bool_efficiency(self, value):
+        with pytest.raises(ParameterError, match="^detector_eff must be a probability"):
+            final_parity_measurement(self.make_residual_state(), "XX", value)
+
     def test_rejects_bad_observable_and_efficiency(self):
         state = self.make_residual_state()
         with pytest.raises(ParameterError):
@@ -396,7 +418,7 @@ class TestPrefixPass:
             ProtocolParams("A", rounds=rounds, flip_observable=observable, **kwargs)
             for rounds in EVEN_ROUNDS
         ]
-        scan = _scan(runs)
+        scan = _Scan(runs)
         prefixes = [scan.result(i) for i in range(len(runs))]
         assert [result.params for result in prefixes] == runs
         for params, prefix in zip(runs, prefixes):
@@ -404,7 +426,7 @@ class TestPrefixPass:
 
     def test_single_run_pass_is_run_protocol(self):
         params = ProtocolParams("B", p_abs=0.4, rounds=8, p_loss=0.05, detector_eff=0.8)
-        only = _scan([params]).result(0)
+        only = _Scan([params]).result(0)
         assert only.params is params
         assert_results_identical(only, run_protocol(params))
 
@@ -456,7 +478,7 @@ class TestCompiledEngine:
     @staticmethod
     def evolve(rho: np.ndarray) -> list:
         params = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.05)
-        scan = protocol._Scan(protocol._engine(params), (params,), (build_schedule(params),), rho)
+        scan = protocol._Scan((params,), (build_schedule(params),), rho)
         return [scan.result(0)]
 
     def test_valid_initial_state_evolves(self):
@@ -491,7 +513,7 @@ class TestCompiledEngine:
         absorbable = basis_index(BellLabel.PHI_MINUS, 3)
         other = basis_index(BellLabel.PHI_PLUS, 2)
         rho[absorbable, absorbable], rho[other, other] = 0.5, -0.5
-        scan = protocol._Scan(protocol._engine(params), (params,), (build_schedule(params),), rho)
+        scan = protocol._Scan((params,), (build_schedule(params),), rho)
         result = scan.result(0)
         assert [record.round for record in result.herald_log] == [1]
         assert result.cumulative_success == (result.herald_log[0].weight,) * 8
@@ -502,3 +524,53 @@ class TestCompiledEngine:
         rho[basis_index(BellLabel.PHI_PLUS, 2), basis_index(BellLabel.PHI_MINUS, 3)] = np.nan
         with pytest.raises(StateValidationError, match="does not conserve weight"):
             self.evolve(rho)
+
+
+class TestOneBuildPerScan:
+    """Each pass compiles its maps once, and only for the flip kinds it uses."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        codes_built = []
+        compile_maps = protocol._compile
+
+        def counting(params, codes):
+            herald, maps = compile_maps(params, codes)
+            codes_built.append(sorted(maps))
+            return herald, maps
+
+        monkeypatch.setattr(protocol, "_compile", counting)
+        return codes_built
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_protocol(ProtocolParams("B", p_abs=0.5, rounds=16, p_loss=0.066)),
+            lambda: optimize_rounds("A", 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED),
+            lambda: optimize_rounds("B", 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED),
+            lambda: relay_chain(
+                RelayChainSpec.uniform(ProtocolParams("B", p_abs=0.5, rounds=8), 3)
+            ),
+        ],
+        ids=["run_protocol", "default_a_scan", "default_b_scan", "uniform_chain"],
+    )
+    def test_builds_once(self, builds, call):
+        call()
+        assert len(builds) == 1
+
+    def test_chunked_b_scan_builds_once_per_chunk(self, builds, monkeypatch):
+        scans = []
+        scan = analytics._Scan
+
+        def recording(runs):
+            scans.append(len(runs))
+            return scan(runs)
+
+        monkeypatch.setattr(analytics, "_SCAN_STATES", 60)
+        monkeypatch.setattr(analytics, "_Scan", recording)
+        optimize_rounds("B", 0.6, p_loss=0.05, candidates=range(4, 41, 4))
+        assert len(scans) > 1 and len(builds) == len(scans)
+
+    def test_a_xx_scan_builds_the_phase_map_only(self, builds):
+        optimize_rounds("A", 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED)
+        assert builds == [[protocol._KINDS.index(FlipKind.PHASE)]]

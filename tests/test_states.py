@@ -10,9 +10,10 @@ from nvswap.states import (
     ParameterError,
     StateValidationError,
     basis_index,
+    check_probability,
     make_initial_state,
 )
-from util import random_joint_state
+from util import NOT_NUMBERS, random_joint_state
 
 
 class TestBellLabel:
@@ -176,3 +177,15 @@ def test_basis_index_bounds():
         basis_index(4, 0)
     with pytest.raises(ParameterError):
         basis_index(0, 8)
+
+
+class TestCheckProbability:
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_text_and_bools_rejected(self, value):
+        with pytest.raises(ParameterError, match=r"^p must be a probability in \[0, 1\], got"):
+            check_probability("p", value)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float32(0.5), np.int64(1)])
+    def test_numbers_returned_as_floats(self, value):
+        checked = check_probability("p", value)
+        assert type(checked) is float and checked == value

@@ -10,7 +10,7 @@ from nvswap.sweep import (
     relay_chain,
     sweep,
 )
-from util import BELL_COLUMNS
+from util import BELL_COLUMNS, NOT_NUMBERS
 
 
 def ideal_b_params(rounds: int = 4) -> ProtocolParams:
@@ -187,6 +187,15 @@ class TestSweep:
         rounds = None if optimize_l else 8
         with pytest.raises(ParameterError, match="objective"):
             sweep([0.5], [0.066], "B", rounds=rounds, optimize_l=optimize_l, objective="bogus")
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_text_or_bool_values_rejected(self, value):
+        with pytest.raises(ParameterError, match="^p_abs_axis must be a probability"):
+            sweep([value], [0.05], "B", rounds=8)
+        with pytest.raises(ParameterError, match="^p_loss_axis must be a probability"):
+            sweep([0.5], [value], "B", rounds=8)
+        with pytest.raises(ParameterError, match="^min_fidelity must be a probability"):
+            sweep([0.5], [0.05], "B", rounds=8, min_fidelity=value)
 
     def test_axis_validation(self):
         with pytest.raises(ParameterError):

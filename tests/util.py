@@ -45,6 +45,9 @@ BELL_COLUMNS = np.array(
 # for minutes before it is reported
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
+# values float() would turn into a probability, which every check rejects
+NOT_NUMBERS = ("0.5", b"0.5", True, np.bool_(False))
+
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
