@@ -30,7 +30,7 @@ import numpy as np
 # part of this module's API, stated next to the dephasing channel
 from .channels import dephasing_factor  # noqa: F401
 from .protocol import ProtocolParams, ProtocolResult, _Scan
-from .states import ParameterError, check_count, check_probability
+from .states import ParameterError, check_count, check_nonnegative, check_number, check_probability
 
 OBJECTIVE_CONSTRAINED = "max_success_at_min_fidelity"
 OBJECTIVE_WEIGHTED = "weighted"
@@ -84,26 +84,24 @@ def false_positive_ratio(p_abs: float, p_dark: float, rounds: int) -> float:
 
 def lorentzian_suppression(detuning: float, linewidth: float) -> float:
     """Off-resonant excitation factor 1/(1 + (detuning/linewidth)^2)."""
-    if linewidth <= 0.0:
-        raise ParameterError(f"linewidth must be positive, got {linewidth!r}")
+    check_number("detuning", detuning, "a number", -math.inf, math.inf)
+    check_nonnegative("linewidth", linewidth, positive=True)
     return 1.0 / (1.0 + (detuning / linewidth) ** 2)
 
 
 def spectral_width(lifetime: float) -> float:
     """Lorentzian linewidth (Hz) of a state with the given lifetime (s)."""
-    if lifetime <= 0.0:
-        raise ParameterError(f"lifetime must be positive, got {lifetime!r}")
+    check_nonnegative("lifetime", lifetime, positive=True)
     return 1.0 / (math.pi * lifetime)
 
 
 def db_to_probability(loss_db: float) -> float:
-    if loss_db < 0.0:
-        raise ParameterError(f"loss_db must be nonnegative, got {loss_db!r}")
+    check_nonnegative("loss_db", loss_db)
     return -math.expm1(-loss_db / 10.0 * math.log(10.0))
 
 
 def probability_to_db(p_loss: float) -> float:
-    if not 0.0 <= p_loss < 1.0:
+    if check_nonnegative("p_loss", p_loss) >= 1.0:
         raise ParameterError(f"p_loss must lie in [0, 1), got {p_loss!r}")
     return -10.0 * math.log10(1.0 - p_loss)
 

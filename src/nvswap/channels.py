@@ -21,10 +21,10 @@ spin) map, on the Bell pair containing that spin:
     second qubit: phi+ <-> psi+ (+), phi- <-> psi- (+)
 
 Each channel is written down once, as weighted real Kraus terms
-rho -> sum_k w_k K_k rho K_k^T (`absorption_terms`, `qnd_terms`,
-`loss_terms`, `dephasing_terms`, `flip_terms`).  The JointState functions
-below apply those terms to one branch and are the readable spec; the
-protocol engine lifts the same terms to superoperators.
+rho -> sum_k w_k K_k rho K_k^T (`absorption_terms`, `qnd_terms`, `loss_terms`,
+`dephasing_terms`, `flip_terms`, and approach A's final `parity_terms`).  The
+JointState functions apply those terms to one branch and are the readable
+spec; the protocol engine lifts the same terms to superoperators.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ from .states import (
     SLOT_A2,
     SLOT_SPIN_DOWN,
     SLOT_SPIN_UP,
+    BellLabel,
     JointState,
     ParameterError,
+    check_nonnegative,
     check_probability,
+    slot_columns,
 )
 
 
@@ -72,10 +75,7 @@ ALL_SPINS = (SpinSite.NV1, SpinSite.NV2, SpinSite.NV3)
 
 def _lift_2p(perm8: np.ndarray, sign8: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extend a signed permutation of node2p slots to the full 32-dim basis."""
-    offsets = np.arange(DIM_PAIR13) * DIM_2P
-    perm = (offsets[:, None] + perm8[None, :]).reshape(-1)
-    sign = np.tile(sign8, DIM_PAIR13)
-    return perm, sign
+    return slot_columns(*perm8), np.tile(sign8, DIM_PAIR13)
 
 
 def _lift_pair13(perm4: np.ndarray, sign4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,13 +152,9 @@ def signed_permutation_matrix(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return unitary
 
 
-def _slot_indices(slot: int) -> np.ndarray:
-    return np.arange(DIM_PAIR13) * DIM_2P + slot
-
-
-def _slot_projector(slot: int) -> np.ndarray:
+def _slot_projector(*slots: int) -> np.ndarray:
     projector = np.zeros((DIM_TOTAL, DIM_TOTAL))
-    idx = _slot_indices(slot)
+    idx = slot_columns(*slots)
     projector[idx, idx] = 1.0
     return projector
 
@@ -167,7 +163,7 @@ def _transfer(source: int, dest: int) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair of an incoherent jump: `move` carries the source-slot block
     to the dest slot, `cut` drops the source slot and its coherences."""
     move = np.zeros((DIM_TOTAL, DIM_TOTAL))
-    move[_slot_indices(dest), _slot_indices(source)] = 1.0
+    move[slot_columns(dest), slot_columns(source)] = 1.0
     return move, IDENTITY - _slot_projector(source)
 
 
@@ -175,6 +171,15 @@ def _transfer(source: int, dest: int) -> tuple[np.ndarray, np.ndarray]:
 ABSORPTION_TRANSFERS = (_transfer(3, SLOT_A2), _transfer(2, SLOT_A1))
 A2_PROJECTOR = _slot_projector(SLOT_A2)
 A2_COMPLEMENT = IDENTITY - A2_PROJECTOR
+# approach A's final parity outcomes (even, odd): photon-present node2p slots, target
+PARITY_TABLE = {
+    "XX": (((0, 2), BellLabel.PSI_PLUS), ((1, 3), BellLabel.PSI_MINUS)),
+    "ZZ": (((0, 1), BellLabel.PSI_PLUS), ((2, 3), BellLabel.PHI_PLUS)),
+}
+PARITY_PROJECTORS = {
+    observable: tuple(_slot_projector(*slots) for slots, _ in outcomes)
+    for observable, outcomes in PARITY_TABLE.items()
+}
 FLIP_UNITARIES = {kind: signed_permutation_matrix(*table) for kind, table in FLIP_TABLES.items()}
 DEPHASING_UNITARIES = {
     site: signed_permutation_matrix(*table) for site, table in DEPHASING_TABLES.items()
@@ -212,6 +217,15 @@ def qnd_terms(p_qnd: float, p_dark: float) -> tuple[Terms, Terms]:
     return click, noclick
 
 
+def parity_terms(observable: str, detector_eff: float) -> tuple[Terms, Terms]:
+    """(even, odd) outcomes of approach A's final parity measurement: each projects onto
+    its PARITY_TABLE slots with weight detector_eff**2 (photon and spin 2 both detected)."""
+    if observable not in PARITY_TABLE:
+        raise ParameterError(f"observable must be 'XX' or 'ZZ', got {observable!r}")
+    efficiency = check_probability("detector_eff", detector_eff) ** 2
+    return tuple(((efficiency, projector),) for projector in PARITY_PROJECTORS[observable])
+
+
 def loss_terms(p_loss: float) -> Terms:
     """Keep the photon with probability 1-p_loss, else trace it out (LOSS_KRAUS)."""
     p_loss = check_probability("p_loss", p_loss)
@@ -226,10 +240,8 @@ def dephasing_terms(eta: float, site: SpinSite) -> Terms:
 
 def dephasing_factor(tau: float, t2: float) -> float:
     """Coherence factor exp(-(tau/t2)^2) accumulated over a delay tau."""
-    if t2 <= 0.0:
-        raise ParameterError(f"t2 must be positive, got {t2!r}")
-    if tau < 0.0:
-        raise ParameterError(f"tau must be nonnegative, got {tau!r}")
+    check_nonnegative("t2", t2, positive=True)
+    check_nonnegative("tau", tau)
     return math.exp(-((tau / t2) ** 2))
 
 
@@ -313,5 +325,4 @@ def flip_channel(state: JointState, kind: FlipKind) -> JointState:
 
 def photon_present_indices() -> np.ndarray:
     """Flat basis indices of the photon-present sector."""
-    offsets = np.arange(DIM_PAIR13) * DIM_2P
-    return (offsets[:, None] + np.array(PHOTON_PRESENT_SLOTS)[None, :]).reshape(-1)
+    return slot_columns(*PHOTON_PRESENT_SLOTS)

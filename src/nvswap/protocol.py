@@ -22,7 +22,9 @@ pass compiles its parameter set, from the weighted Kraus terms in `channels`,
 to real maps on that support (`_compile`): one no-click round map per flip
 kind it uses (absorption, no-click, loss, dephasing, flip), and one herald
 map reading the click branch's reduced pair-13 block, its weight and its
-dark-click weight off a round's input state.  A pass (`_Scan`) evolves a stack of states, one
+dark-click weight off a round's input state.  Approach A's final parity
+measurement is read the same way, through the lifted `channels.parity_terms`,
+off each run's final state.  A pass (`_Scan`) evolves a stack of states, one
 column per run, where runs whose schedule is a prefix of the longest one
 share its column: each round is one matrix-vector product per column,
 grouped by flip kind.  The herald readout, the checks and the aggregates are then read
@@ -46,7 +48,6 @@ raises StateValidationError before any result is built.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -54,14 +55,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import (
+    A2_PROJECTOR,
     ALL_SPINS,
+    PARITY_TABLE,
     FlipKind,
     Terms,
     absorption_terms,
     dephasing_factor,
     dephasing_terms,
     flip_terms,
+    kraus_sum,
     loss_terms,
+    parity_terms,
     qnd_terms,
 )
 
@@ -79,7 +84,6 @@ from .states import (
     DIM_PAIR13,
     DIM_TOTAL,
     HERMITICITY_ATOL,
-    SLOT_A2,
     WEIGHT_ATOL,
     BellLabel,
     JointState,
@@ -87,6 +91,7 @@ from .states import (
     StateValidationError,
     check_count,
     check_density,
+    check_nonnegative,
     check_probability,
     initial_amplitudes,
 )
@@ -134,10 +139,8 @@ class ProtocolParams:
         for name in ("p_abs", "r_a1", "p_qnd", "p_dark", "p_loss", "detector_eff"):
             check_probability(name, getattr(self, name))
         object.__setattr__(self, "rounds", check_count("rounds", self.rounds))
-        if not math.isfinite(self.tau_cycle) or self.tau_cycle < 0:
-            raise ParameterError(f"tau_cycle must be a nonnegative time, got {self.tau_cycle!r}")
-        if not math.isfinite(self.t2) or self.t2 <= 0:
-            raise ParameterError(f"t2 must be a positive time, got {self.t2!r}")
+        check_nonnegative("tau_cycle", self.tau_cycle, finite=True)
+        check_nonnegative("t2", self.t2, positive=True, finite=True)
         if self.flip_observable not in ("XX", "ZZ"):
             raise ParameterError(
                 f"flip_observable must be 'XX' or 'ZZ', got {self.flip_observable!r}"
@@ -291,54 +294,19 @@ def epoch_target(flips_applied: tuple[int, int]) -> BellLabel:
     return label
 
 
-# final-measurement dispatch: observable -> (even slots, odd slots, targets)
-_PARITY_TABLE = {
-    "XX": ((0, 2), (1, 3), BellLabel.PSI_PLUS, BellLabel.PSI_MINUS),
-    "ZZ": ((0, 1), (2, 3), BellLabel.PSI_PLUS, BellLabel.PHI_PLUS),
-}
+_LABELS = tuple(BellLabel)
+# herald type of each final parity outcome, in PARITY_TABLE order
+_PARITY_TYPES = (HeraldType.PARITY_EVEN, HeraldType.PARITY_ODD)
 
 
-def _parity_sectors(
-    matrices: np.ndarray, weights: np.ndarray, observable: str, detector_eff: float
-) -> list[tuple[HeraldType, BellLabel, np.ndarray, np.ndarray]]:
-    """Both parity outcomes of the final measurement on a stack of unit-trace
-    states of the given weights: per outcome (herald type, target, herald
-    weights, conditional pair-13 states)."""
-    even_slots, odd_slots, even_target, odd_target = _PARITY_TABLE[observable]
-    efficiency = detector_eff**2
-    sectors = []
-    for slots, target, herald_type in (
-        (even_slots, even_target, HeraldType.PARITY_EVEN),
-        (odd_slots, odd_target, HeraldType.PARITY_ODD),
-    ):
-        idx = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(slots)[None, :]).reshape(-1)
-        blocks = matrices.take(idx, axis=1).take(idx, axis=2)
-        traces = np.trace(blocks, axis1=1, axis2=2).real
-        tensor = blocks.reshape(-1, DIM_PAIR13, len(slots), DIM_PAIR13, len(slots))
-        conditional = np.einsum("nikjk->nij", tensor) / np.where(traces == 0.0, 1.0, traces)[
-            :, None, None
-        ]
-        sectors.append((herald_type, target, traces * weights * efficiency, conditional))
-    return sectors
-
-
-def _parity_records(
-    sectors: list[tuple], i: int, round_index: int, flips_applied: tuple[int, int]
-) -> list[HeraldRecord]:
-    """The heralds of state i of `_parity_sectors`' stack: one record per
-    parity outcome whose weight exceeds BRANCH_WEIGHT_FLOOR, even then odd."""
+def _herald_records(heralds: Iterable[tuple]) -> list[HeraldRecord]:
+    """Records of heralds given one per row (round, flips applied, herald type, weight,
+    conditional pair-13 block, target, false weight).  Only weights above
+    BRANCH_WEIGHT_FLOOR make a record; its fidelity is the conditional's target entry."""
     return [
-        HeraldRecord(
-            round=round_index,
-            flips_applied=flips_applied,
-            herald_type=herald_type,
-            weight=float(weights[i]),
-            conditional_13=conditional[i],
-            target=target,
-            fidelity=float(conditional[i, target, target].real),
-        )
-        for herald_type, target, weights, conditional in sectors
-        if weights[i] > BRANCH_WEIGHT_FLOOR
+        HeraldRecord(r, tuple(f), kind, w, cond, _LABELS[t], float(cond[t, t].real), false_w)
+        for r, f, kind, w, cond, t, false_w in heralds
+        if w > BRANCH_WEIGHT_FLOOR
     ]
 
 
@@ -357,14 +325,16 @@ def final_parity_measurement(
     each, so herald weights scale with detector_eff**2; the photon-gone
     sector and undetected events contribute failure weight without a record.
     """
-    if observable not in _PARITY_TABLE:
-        raise ParameterError(f"observable must be 'XX' or 'ZZ', got {observable!r}")
-    detector_eff = check_probability("detector_eff", detector_eff)
+    terms = parity_terms(observable, detector_eff)
     if state.is_empty:
         return []
-    weight = np.array([state.weight])
-    sectors = _parity_sectors(state.matrix[None], weight, observable, detector_eff)
-    return _parity_records(sectors, 0, round_index, flips_applied)
+    # an outcome at or below BRANCH_WEIGHT_FLOOR comes back empty, of weight 0
+    rho, weight = state.matrix, state.weight
+    branches = [JointState.from_unnormalized(kraus_sum(rho, t), weight) for t in terms]
+    return _herald_records(
+        (round_index, flips_applied, kind, branch.weight, branch.reduced_pair13(), target, 0.0)
+        for kind, branch, (_, target) in zip(_PARITY_TYPES, branches, PARITY_TABLE[observable])
+    )
 
 
 def _resolve_schedule(
@@ -408,6 +378,7 @@ class _Support:
         channels = [*absorption_terms(0.5, 0.5), click, noclick, loss_terms(0.5)]
         channels += [dephasing_terms(0.5, site) for site in ALL_SPINS]
         channels += [flip_terms(kind) for kind in FlipKind]
+        channels += [terms for obs in PARITY_TABLE for terms in parity_terms(obs, 0.5)]
         operators = {id(k): k for terms in channels for _, k in terms}
         amplitudes = initial_amplitudes()
         initial = np.outer(amplitudes, amplitudes)
@@ -430,13 +401,11 @@ class _Support:
         self.pairs = upper, np.array([position[cols[i], rows[i]] for i in upper])
         pair_r, slot_r = np.divmod(rows, DIM_2P)
         pair_c, slot_c = np.divmod(cols, DIM_2P)
-        # herald_rows: the partial trace over node2p (16 rows, the 4x4 block)
-        # and the trace; a2: the A2 population
+        # herald_rows: the partial trace over node2p (16 rows, the 4x4 block) and the trace
         same = np.flatnonzero(slot_r == slot_c)
         self.herald_rows = np.zeros((DIM_PAIR13 * DIM_PAIR13 + 1, len(rows)))
         self.herald_rows[pair_r[same] * DIM_PAIR13 + pair_c[same], same] = 1.0
         self.herald_rows[-1] = self.trace
-        self.a2 = self.trace * (slot_r == SLOT_A2)
         # K (x) K on the support, M[(a,b),(c,d)] = K[a,c] K[b,d], gathers
         # K[rows_i, rows_j] and K[cols_i, cols_j]; the channels' operators are
         # module constants, so each is lifted once and found by id (the
@@ -448,6 +417,7 @@ class _Support:
             dense = k.take(gather_rows) * k.take(gather_cols)
             where = np.flatnonzero(dense)
             self._lifted[key] = (k, where, dense[where])
+        self.a2 = self.trace @ self.lift(((1.0, A2_PROJECTOR),))
 
     def lift(self, terms: Terms) -> np.ndarray:
         """Superoperator of weighted Kraus terms of the channels on the support."""
@@ -511,7 +481,6 @@ _FLIP_COUNTS = np.array(
     ],
     dtype=int,
 )
-_LABELS = tuple(BellLabel)
 # epoch_target by flip-count parities
 _TARGETS = np.array([[epoch_target((a, b)) for b in (0, 1)] for a in (0, 1)])
 
@@ -637,7 +606,7 @@ class _Scan:
         weighted = np.where(recorded, clicks * fidelity, 0.0)
         false_weights = np.where(recorded, dark, 0.0)
         per_target = targets[..., None] == np.arange(DIM_PAIR13)
-        self._rounds = (blocks, clicks, fidelity, false_weights, targets, recorded, flips)
+        self._rounds = (blocks, clicks, false_weights, targets, recorded, flips)
         self._cumulative = np.cumsum(clicks, axis=0)
 
         # per run: the round it stops at, its final state and parity outcomes
@@ -657,18 +626,26 @@ class _Scan:
         # the unnormalised A2 weight, one dot product per run, so that a run's
         # bits do not depend on how many runs the scan holds
         self.false_negative = np.matmul(finals[:, None, :], support.a2[:, None])[:, 0, 0]
-        parity = np.zeros(len(runs))
-        self._sectors = []
+        # approach A's final parity outcomes, even then odd, read off each run's final state
+        # like a click: the weight (0 at or below the floor, and for B) and the conditional
+        self._parity_targets = [target for _, target in PARITY_TABLE[params.flip_observable]]
+        sectors = np.zeros((len(self._parity_targets), len(runs), len(support.herald_rows)))
         if params.approach == "A":
-            self._sectors = _parity_sectors(
-                matrices, weight, params.flip_observable, params.detector_eff
-            )
-            # added after the clicks, even then odd, in the order of the herald log
-            for _, target, sector_weights, conditional in self._sectors:
-                heralded = np.where(sector_weights > BRANCH_WEIGHT_FLOOR, sector_weights, 0.0)
-                parity = parity + heralded
-                success[:, target] += heralded
-                weighted_sum[:, target] += heralded * conditional[:, target, target]
+            terms = parity_terms(params.flip_observable, params.detector_eff)
+            readout = np.stack([support.herald_rows @ support.lift(outcome) for outcome in terms])
+            sectors = np.matmul(readout[:, None], finals[None, :, :, None])[..., 0]
+        found = sectors[..., -1] > BRANCH_WEIGHT_FLOOR
+        self._parity_weights = np.where(found, sectors[..., -1], 0.0)
+        conditionals = sectors[..., :-1] / np.where(found, sectors[..., -1], 1.0)[..., None]
+        self._parity_conditionals = conditionals.reshape(*found.shape, DIM_PAIR13, DIM_PAIR13)
+        # added after the clicks, even then odd, in the order of the herald log
+        parity = self._parity_weights.sum(axis=0)
+        for target, heralded, conditional in zip(
+            self._parity_targets, self._parity_weights, self._parity_conditionals
+        ):
+            success[:, target] += heralded
+            weighted_sum[:, target] += heralded * conditional[:, target, target]
+        if params.approach == "A":
             self.failure, self.residual = weight - parity, np.zeros(len(runs))
         else:
             self.failure, self.residual = np.zeros(len(runs)), weight
@@ -688,33 +665,22 @@ class _Scan:
     def result(self, i: int) -> ProtocolResult:
         """The ProtocolResult of run i."""
         run, stop, c = self.runs[i], int(self.stop[i]), int(self.column[i])
-        blocks, clicks, fidelity, false_weights, targets, recorded, flips = self._rounds
+        blocks, clicks, false_weights, targets, recorded, flips = self._rounds
+        # the clicks, then the parity outcomes, even then odd
         rounds = np.flatnonzero(recorded[:stop, c])
         weights = clicks[rounds, c]
-        conditionals = blocks[rounds, c] / weights[:, None, None]
-        columns = zip(
-            (rounds + 1).tolist(),
-            map(tuple, flips[rounds, c].tolist()),
-            weights.tolist(),
-            conditionals,
-            targets[rounds, c].tolist(),
-            fidelity[rounds, c].tolist(),
-            false_weights[rounds, c].tolist(),
-        )
-        records = [
-            HeraldRecord(
-                round=r,
-                flips_applied=applied,
-                herald_type=HeraldType.QND_CLICK,
-                weight=weight,
-                conditional_13=conditional,
-                target=_LABELS[target],
-                fidelity=target_fidelity,
-                false_weight=false_weight,
+        outcomes = len(self._parity_targets)
+        records = _herald_records(
+            zip(
+                (rounds + 1).tolist() + [stop] * outcomes,
+                flips[rounds, c].tolist() + [flips[stop, c].tolist()] * outcomes,
+                [HeraldType.QND_CLICK] * len(rounds) + list(_PARITY_TYPES),
+                weights.tolist() + self._parity_weights[:, i].tolist(),
+                [*(blocks[rounds, c] / weights[:, None, None]), *self._parity_conditionals[:, i]],
+                targets[rounds, c].tolist() + self._parity_targets,
+                false_weights[rounds, c].tolist() + [0.0] * outcomes,
             )
-            for r, applied, weight, conditional, target, target_fidelity, false_weight in columns
-        ]
-        records += _parity_records(self._sectors, i, stop, tuple(flips[stop, c].tolist()))
+        )
         success = self.success[i].tolist()
         fidelity_i = self.fidelity[i].tolist()
         return ProtocolResult(

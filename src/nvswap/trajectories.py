@@ -24,9 +24,10 @@ Every draw keeps its size and order, so at most the sign of a zero differs,
 which no output sees: amplitudes reach outputs only squared.
 
 The dynamics here deliberately share only the basis tables with
-`channels.py` (and the initial state with `states.py`); branch bookkeeping,
-collapse logic, and estimators are written independently so the two
-implementations can audit each other.
+`channels.py` (the flip and dephasing tables, the loss Kraus maps and
+`PARITY_TABLE`), and the basis layout and initial state with `states.py`;
+branch bookkeeping, collapse logic, and estimators are written independently
+so the two implementations can audit each other.
 """
 
 from __future__ import annotations
@@ -40,19 +41,18 @@ from .channels import (
     DEPHASING_TABLES,
     FLIP_TABLES,
     LOSS_KRAUS,
+    PARITY_TABLE,
     ALL_SPINS,
     FlipKind,
 )
 from .protocol import (
     HeraldType,
     ProtocolParams,
-    _PARITY_TABLE,
     _resolve_schedule,
     epoch_target,
 )
 from .states import (
     DIM_2P,
-    DIM_PAIR13,
     DIM_TOTAL,
     SLOT_A1,
     SLOT_A2,
@@ -60,13 +60,14 @@ from .states import (
     check_count,
     check_seed,
     initial_amplitudes,
+    slot_columns,
 )
 
-_J3_COLS = np.arange(DIM_PAIR13) * DIM_2P + 3
-_J2_COLS = np.arange(DIM_PAIR13) * DIM_2P + 2
-_A2_COLS = np.arange(DIM_PAIR13) * DIM_2P + SLOT_A2
-_A1_COLS = np.arange(DIM_PAIR13) * DIM_2P + SLOT_A1
-_GONE_COLS = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.arange(4, 8)[None, :]).reshape(-1)
+_J3_COLS = slot_columns(3)
+_J2_COLS = slot_columns(2)
+_A2_COLS = slot_columns(SLOT_A2)
+_A1_COLS = slot_columns(SLOT_A1)
+_GONE_COLS = slot_columns(*range(SLOT_A2, DIM_2P))
 
 _HERALD_NONE = 0
 _HERALD_CLICK = 1
@@ -329,9 +330,8 @@ def run_trajectories(
     failure_count = 0
     residual_count = len(alive)
     if params.approach == "A" and len(alive):
-        even_slots, odd_slots, even_target, odd_target = _PARITY_TABLE[params.flip_observable]
-        even_cols = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(even_slots)).reshape(-1)
-        odd_cols = (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(odd_slots)).reshape(-1)
+        (even_slots, even_target), (odd_slots, odd_target) = PARITY_TABLE[params.flip_observable]
+        even_cols, odd_cols = slot_columns(*even_slots), slot_columns(*odd_slots)
         m = len(alive)
         q_even = (psi[:, even_cols] ** 2).sum(axis=1)
         q_odd = (psi[:, odd_cols] ** 2).sum(axis=1)

@@ -183,6 +183,47 @@ class TestEstimators:
             p_loss, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "tau, t2", [(math.nan, 1.0), (0.0, math.nan), ("1e-7", 1e-4), (0.0, True)]
+    )
+    def test_dephasing_factor_rejects_non_numbers_and_nan(self, tau, t2):
+        with pytest.raises(ParameterError):
+            dephasing_factor(tau, t2)
+
+    @pytest.mark.parametrize(
+        "detuning, linewidth", [(0.0, math.nan), (math.nan, 1.0), ("1", 1.0), (0.0, True)]
+    )
+    def test_lorentzian_suppression_rejects_non_numbers_and_nan(self, detuning, linewidth):
+        with pytest.raises(ParameterError):
+            lorentzian_suppression(detuning, linewidth)
+
+    @pytest.mark.parametrize("lifetime", [math.nan, True, "1e-8", None])
+    def test_spectral_width_rejects_non_numbers_and_nan(self, lifetime):
+        with pytest.raises(ParameterError, match="^lifetime must be"):
+            spectral_width(lifetime)
+
+    @pytest.mark.parametrize("loss_db", [math.nan, True, "3", None])
+    def test_db_to_probability_rejects_non_numbers_and_nan(self, loss_db):
+        # True gave 0.2057; "3" raised a bare TypeError
+        with pytest.raises(ParameterError, match="^loss_db must be"):
+            db_to_probability(loss_db)
+
+    @pytest.mark.parametrize("p_loss", [False, math.nan, "0.1", None])
+    def test_probability_to_db_rejects_non_numbers_and_nan(self, p_loss):
+        # False gave -0.0
+        with pytest.raises(ParameterError, match="^p_loss must"):
+            probability_to_db(p_loss)
+
+    def test_estimator_ranges_keep_infinity(self):
+        assert db_to_probability(math.inf) == 1.0
+        assert spectral_width(math.inf) == 0.0
+        assert lorentzian_suppression(math.inf, 1.0) == 0.0
+        assert lorentzian_suppression(1.0, math.inf) == 1.0
+        assert dephasing_factor(math.inf, 1.0) == 0.0
+        assert dephasing_factor(1.0, math.inf) == 1.0
+        with pytest.raises(ParameterError):
+            probability_to_db(math.inf)
+
     def test_estimator_input_validation(self):
         with pytest.raises(ParameterError):
             spectral_width(0.0)

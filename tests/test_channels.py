@@ -1,21 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
+from nvswap import trajectories
 from nvswap.channels import (
     ALL_SPINS,
     DEPHASING_TABLES,
     FLIP_TABLES,
     LOSS_KRAUS,
+    PARITY_TABLE,
     FlipKind,
     SpinSite,
     absorption_channel,
     dephasing_channel,
     flip_channel,
+    parity_terms,
     photon_loss_channel,
     photon_present_indices,
     qnd_povm,
     signed_permutation_matrix,
 )
+from nvswap.protocol import final_parity_measurement
 from nvswap.states import (
     DIM_TOTAL,
     SLOT_A1,
@@ -25,6 +31,7 @@ from nvswap.states import (
     ParameterError,
     basis_index,
     make_initial_state,
+    slot_columns,
 )
 from util import (
     BELL_COLUMNS,
@@ -355,3 +362,44 @@ def test_channels_reject_text_or_bool_probabilities(value):
     for call in calls:
         with pytest.raises(ParameterError, match="must be a probability"):
             call()
+
+
+def diagonal_projector(columns: np.ndarray) -> np.ndarray:
+    projector = np.zeros((DIM_TOTAL, DIM_TOTAL))
+    projector[columns, columns] = 1.0
+    return projector
+
+
+class TestParityTerms:
+    @pytest.mark.parametrize("observable", ["XX", "ZZ"])
+    @pytest.mark.parametrize("detector_eff", [1.0, 0.8, 0.0])
+    def test_outcomes_split_the_photon_present_sector(self, observable, detector_eff):
+        (even,), (odd,) = parity_terms(observable, detector_eff)
+        assert even[0] == odd[0] == detector_eff**2
+        assert not (even[1] @ odd[1]).any()
+        assert np.array_equal(even[1] + odd[1], diagonal_projector(photon_present_indices()))
+
+    @pytest.mark.parametrize("observable", ["XX", "ZZ"])
+    def test_projectors_are_the_table_slots_the_sampler_reads(self, observable):
+        assert trajectories.PARITY_TABLE is PARITY_TABLE
+        for (slots, _), (term,) in zip(PARITY_TABLE[observable], parity_terms(observable, 1.0)):
+            assert np.array_equal(term[1], diagonal_projector(slot_columns(*slots)))
+        # module constants, so that the engine finds their lift by id
+        assert parity_terms(observable, 0.3)[1][0][1] is parity_terms(observable, 0.9)[1][0][1]
+
+    def test_table_slots_and_targets(self):
+        assert PARITY_TABLE == {
+            "XX": (((0, 2), BellLabel.PSI_PLUS), ((1, 3), BellLabel.PSI_MINUS)),
+            "ZZ": (((0, 1), BellLabel.PSI_PLUS), ((2, 3), BellLabel.PHI_PLUS)),
+        }
+
+    @pytest.mark.parametrize(
+        "observable, detector_eff", [("YY", 1.0), ("XX", 1.5), ("ZZ", "1"), ("XX", math.nan)]
+    )
+    def test_rejects_bad_observable_or_efficiency_even_for_an_empty_state(
+        self, observable, detector_eff
+    ):
+        with pytest.raises(ParameterError):
+            parity_terms(observable, detector_eff)
+        with pytest.raises(ParameterError):
+            final_parity_measurement(JointState.empty(), observable, detector_eff)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -229,6 +231,33 @@ class TestIdealRuns:
         assert all(
             record.herald_type is HeraldType.QND_CLICK for record in result.herald_log
         )
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tau_cycle", True),
+            ("t2", True),
+            ("tau_cycle", np.bool_(False)),
+            ("tau_cycle", "1e-7"),
+            ("t2", b"1e-4"),
+            ("tau_cycle", None),
+            ("p_abs", None),
+            ("t2", math.inf),
+            ("tau_cycle", math.nan),
+        ],
+    )
+    def test_rejects_non_numbers_and_non_finite_times(self, field, value):
+        # True was accepted as 1 s; None and text raised a bare TypeError
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            ProtocolParams("A", rounds=4, **{"p_abs": 0.5, field: value})
+
+    def test_numeric_times_give_the_same_eta(self):
+        plain = ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=2e-7, t2=1e-4)
+        numpy = ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=np.float64(2e-7), t2=1e-4)
+        assert numpy.eta_per_cycle == plain.eta_per_cycle
+        assert ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=0, t2=1).eta_per_cycle == 1.0
 
 
 class TestFinalParityMeasurement:

@@ -12,6 +12,7 @@ from nvswap.states import (
     basis_index,
     check_probability,
     make_initial_state,
+    slot_columns,
 )
 from util import NOT_NUMBERS, random_joint_state
 
@@ -189,3 +190,19 @@ class TestCheckProbability:
     def test_numbers_returned_as_floats(self, value):
         checked = check_probability("p", value)
         assert type(checked) is float and checked == value
+
+
+@pytest.mark.parametrize(
+    "value", [bytearray(b"0.5"), None, float("nan"), np.float64("nan"), 0.5j, [0.5]]
+)
+def test_check_probability_rejects_other_non_numbers_and_nan(value):
+    # a bytearray was converted to 0.5; None, complex and lists raised a bare TypeError
+    with pytest.raises(ParameterError, match=r"^p must be a probability in \[0, 1\], got"):
+        check_probability("p", value)
+
+
+@pytest.mark.parametrize("slots", [(3,), (SLOT_A1,), (0, 2), (2, 0), (4, 5, 6, 7)])
+def test_slot_columns_are_pair_major_basis_indices(slots):
+    columns = slot_columns(*slots)
+    assert columns.dtype.kind == "i"
+    assert columns.tolist() == [basis_index(i, j) for i in BellLabel for j in slots]
