@@ -14,16 +14,15 @@ photon-lost weight.
 
 `optimize_rounds` scores every allowed round count with the full protocol
 engine, in one pass over all of them: approach A's round counts are
-prefixes of one run, and approach B's are columns of one stack of states
-(of a few, for a large candidate set), so each candidate's score is read off
-per-candidate arrays and only the winner's result is built.
+prefixes of one run, and approach B's are columns of one stack of states,
+so each candidate's score is read off per-candidate arrays and only the
+winner's result is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,9 +83,11 @@ def false_positive_ratio(p_abs: float, p_dark: float, rounds: int) -> float:
 
 def lorentzian_suppression(detuning: float, linewidth: float) -> float:
     """Off-resonant excitation factor 1/(1 + (detuning/linewidth)^2)."""
-    check_number("detuning", detuning, "a number", -math.inf, math.inf)
-    check_nonnegative("linewidth", linewidth, positive=True)
-    return 1.0 / (1.0 + (detuning / linewidth) ** 2)
+    detuning = check_number("detuning", detuning, "a number", -math.inf, math.inf)
+    linewidth = check_nonnegative("linewidth", linewidth, positive=True)
+    # inf / inf is nan, which is rejected; a product overflows to inf (factor 0) where ** raises
+    ratio = check_nonnegative("|detuning| / linewidth", abs(detuning) / linewidth)
+    return 1.0 / (1.0 + ratio * ratio)
 
 
 def spectral_width(lifetime: float) -> float:
@@ -116,27 +117,8 @@ def check_objective(objective: str) -> str:
 
 
 def _candidate_rounds(approach: str) -> tuple[int, ...]:
-    if approach == "A":
-        return tuple(range(2, 65, 2))
-    return tuple(range(4, 65, 4))
-
-
-# approach B's round counts are separate columns of a scan, whose stack holds
-# (largest rounds + 1) x columns states of about 1.4 KB with their readout: at
-# most this many are evaluated at once (the default 16 candidates take 1,040)
-_SCAN_STATES = 2048
-
-
-def _chunks(runs: list[ProtocolParams]) -> Iterator[list[ProtocolParams]]:
-    """Runs in ascending rounds, in groups whose stack stays within
-    _SCAN_STATES states (a longer run on its own)."""
-    chunk: list[ProtocolParams] = []
-    for run in runs:
-        if chunk and (run.rounds + 1) * (len(chunk) + 1) > _SCAN_STATES:
-            yield chunk
-            chunk = []
-        chunk.append(run)
-    yield chunk
+    step = 2 if approach == "A" else 4  # every round count ProtocolParams allows, up to 64
+    return tuple(range(step, 65, step))
 
 
 @dataclass(frozen=True)
@@ -154,10 +136,10 @@ def optimize_rounds(
     *,
     objective: str = OBJECTIVE_CONSTRAINED,
     min_fidelity: float | None = None,
-    candidates: Iterable[int] | None = None,
     **protocol_kwargs,
 ) -> OptimizeOutcome:
-    """Scan round counts and return the best one for the chosen objective.
+    """Scan the approach's round counts (A: 2, 4, .., 64; B: 4, 8, .., 64) and
+    return the best one for the chosen objective.
 
     `max_success_at_min_fidelity` maximizes total_success among candidates
     whose worst realized per-target fidelity stays at or above the
@@ -165,47 +147,37 @@ def optimize_rounds(
     maximizes total_success * pooled fidelity with no constraint.  Ties go
     to the smaller round count.  Extra keyword arguments are passed to
     ProtocolParams.  The candidates are evaluated in one engine pass (see
-    `protocol._Scan`; a large set of B candidates in a few, so that memory
-    stays bounded), and the winner's result equals run_protocol's.
+    `protocol._Scan`), and the winner's result equals run_protocol's.
     """
     check_objective(objective)
-    if candidates is None:
-        scan: Sequence[int] = _candidate_rounds(approach)
-    else:
-        scan = sorted(set(check_count("candidate", c) for c in candidates))
-        if not scan:
-            raise ParameterError("candidates must be a nonempty collection")
+    scan = _candidate_rounds(approach)
     if min_fidelity is None:
         min_fidelity = DEFAULT_MIN_FIDELITY.get(approach, 0.0)
     min_fidelity = check_probability("min_fidelity", min_fidelity)
 
     runs = [ProtocolParams(approach, p_abs=p_abs, rounds=r, **protocol_kwargs) for r in scan]
-    best = None  # (score, scan, index) of the best candidate so far
-    for chunk in _chunks(runs) if approach == "B" else (runs,):
-        evaluated = _Scan(chunk)
-        if objective == OBJECTIVE_CONSTRAINED:
-            # the worst realized per-target fidelity; nan marks a target without heralds
-            heralded = ~np.isnan(evaluated.fidelity)
-            worst = np.where(heralded, evaluated.fidelity, np.inf).min(axis=1)
-            feasible = heralded.any(axis=1) & (worst >= min_fidelity)
-            scores = evaluated.total_success
-        else:
-            feasible = np.ones(len(chunk), dtype=bool)
-            scores = evaluated.total_success * np.nan_to_num(evaluated.pooled, nan=0.0)
-        for i in np.flatnonzero(feasible):
-            if best is None or scores[i] > best[0]:
-                best = (scores[i], evaluated, i)
-    if best is None:
+    evaluated = _Scan(runs)
+    if objective == OBJECTIVE_CONSTRAINED:
+        # the worst realized per-target fidelity; nan marks a target without heralds
+        heralded = ~np.isnan(evaluated.fidelity)
+        worst = np.where(heralded, evaluated.fidelity, np.inf).min(axis=1)
+        feasible = heralded.any(axis=1) & (worst >= min_fidelity)
+        scores = evaluated.total_success
+    else:
+        feasible = np.ones(len(runs), dtype=bool)
+        scores = evaluated.total_success * np.nan_to_num(evaluated.pooled, nan=0.0)
+    if not feasible.any():
         raise NoFeasibleRoundsError(
             f"no round count in {scan[0]}..{scan[-1]} meets the"
             f" {objective} objective (min_fidelity={min_fidelity})"
         )
-    score, evaluated, i = best
-    params = evaluated.runs[i]
+    # the first highest score wins, so ties go to the smaller round count
+    best = int(np.flatnonzero(feasible)[np.argmax(scores[feasible])])
+    params = runs[best]
     return OptimizeOutcome(
         rounds=params.rounds,
         l_z=params.l_z,
         l_x=params.l_x,
-        score=float(score),
-        result=evaluated.result(i),
+        score=float(scores[best]),
+        result=evaluated.result(best),
     )

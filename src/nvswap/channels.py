@@ -240,9 +240,10 @@ def dephasing_terms(eta: float, site: SpinSite) -> Terms:
 
 def dephasing_factor(tau: float, t2: float) -> float:
     """Coherence factor exp(-(tau/t2)^2) accumulated over a delay tau."""
-    check_nonnegative("t2", t2, positive=True)
-    check_nonnegative("tau", tau)
-    return math.exp(-((tau / t2) ** 2))
+    t2 = check_nonnegative("t2", t2, positive=True)
+    tau = check_nonnegative("tau", tau)
+    ratio = check_nonnegative("tau / t2", tau / t2)  # inf / inf is nan, which is rejected
+    return math.exp(-ratio * ratio)  # a product overflows to inf (factor 0) where ** raises
 
 
 def flip_terms(kind: FlipKind) -> Terms:

@@ -19,6 +19,7 @@ from .analytics import (
     optimize_rounds,
 )
 from .config import (
+    COMMAND_KEYS,
     ConfigError,
     build_protocol_params,
     check_keys,
@@ -180,6 +181,13 @@ _COMMANDS = {
     "optimize": cmd_optimize,
 }
 
+# flags that replace the config key of the same name, for each command that has the key
+_FLAGS = {
+    "approach": dict(choices=("A", "B"), help="override config approach"),
+    "seed": dict(type=int, help="Monte-Carlo seed"),
+    "trajectories": dict(type=int, help="sample count enabling the Monte-Carlo cross-check column"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -198,15 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", required=True, help="path to key=value config")
         cmd.add_argument("--out", help="output CSV path (default: stdout)")
-        if name != "bounds":
-            cmd.add_argument("--approach", choices=("A", "B"), help="override config approach")
-        if name == "run":
-            cmd.add_argument("--seed", type=int, help="Monte-Carlo seed")
-            cmd.add_argument(
-                "--trajectories",
-                type=int,
-                help="sample count enabling the Monte-Carlo cross-check column",
-            )
+        for key, spec in _FLAGS.items():
+            if key in COMMAND_KEYS[name]:
+                cmd.add_argument(f"--{key}", **spec)
     return parser
 
 
@@ -215,8 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         options = load_config(args.config)
         check_keys(options, args.command)
-        # a flag given on the command line replaces its config key
-        for key in ("approach", "seed", "trajectories"):
+        for key in _FLAGS:
             if getattr(args, key, None) is not None:
                 options[key] = str(getattr(args, key))
         text = _COMMANDS[args.command](options)

@@ -18,8 +18,6 @@ PROTOCOL_KEYS = frozenset(
         "approach",
         "p_abs",
         "rounds",
-        "l_z",
-        "l_x",
         "r_a1",
         "p_qnd",
         "p_dark",
@@ -35,11 +33,10 @@ PROTOCOL_KEYS = frozenset(
 COMMAND_KEYS = {
     "run": PROTOCOL_KEYS | {"seed", "trajectories"},
     "bounds": frozenset({"bounds_pairs", "p_qnd", "p_dark"}),
-    "sweep": (PROTOCOL_KEYS - {"p_abs", "p_loss", "loss_db", "l_z", "l_x"})
+    "sweep": (PROTOCOL_KEYS - {"p_abs", "p_loss", "loss_db"})
     | {"p_abs_axis", "p_loss_axis", "optimize_l", "objective", "min_fidelity"},
     "chain": PROTOCOL_KEYS | {"hops"},
-    "optimize": (PROTOCOL_KEYS - {"rounds", "l_z", "l_x"})
-    | {"objective", "min_fidelity"},
+    "optimize": (PROTOCOL_KEYS - {"rounds"}) | {"objective", "min_fidelity"},
 }
 
 
@@ -169,9 +166,6 @@ def protocol_kwargs(options: dict[str, str]) -> dict[str, float | str]:
     for key in ("r_a1", "p_qnd", "p_dark", "p_loss", "detector_eff"):
         if key in options:
             kwargs[key] = get_float(options, key)
-    for key in ("l_z", "l_x"):
-        if key in options:
-            kwargs[key] = get_int(options, key)
     if "loss_db" in options:
         if "p_loss" in options:
             raise ConfigError("give either p_loss or loss_db, not both")

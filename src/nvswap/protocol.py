@@ -113,17 +113,15 @@ class HeraldType(Enum):
 class ProtocolParams:
     """Immutable parameter record for one protocol run.
 
-    Probabilities are per cycle.  For approach B the flip periods may be
-    omitted; they default to the unique values allowed by the constraint
-    rounds = 2*l_x = 4*l_z.  `flip_observable` selects approach A's flip kind
-    and final measurement basis (XX: phase flips; ZZ: polarisation flips).
+    Probabilities are per cycle.  Approach B's flip periods are derived from
+    rounds = 2*l_x = 4*l_z: `l_z` and `l_x` read rounds/4 and rounds/2 (None
+    for approach A).  `flip_observable` selects approach A's flip kind and
+    final measurement basis (XX: phase flips; ZZ: polarisation flips).
     """
 
     approach: str
     p_abs: float
     rounds: int
-    l_z: int | None = None
-    l_x: int | None = None
     r_a1: float = DEFAULT_R_A1
     p_qnd: float = DEFAULT_P_QND
     p_dark: float = DEFAULT_P_DARK
@@ -145,26 +143,21 @@ class ProtocolParams:
             raise ParameterError(
                 f"flip_observable must be 'XX' or 'ZZ', got {self.flip_observable!r}"
             )
-        if self.approach == "A":
-            if self.rounds % 2 != 0:
-                raise ParameterError("approach A requires an even number of rounds")
-            if self.l_z is not None or self.l_x is not None:
-                raise ParameterError("flip periods l_z/l_x apply to approach B only")
-        else:
-            if self.rounds % 4 != 0:
-                raise ParameterError(
-                    "approach B requires rounds = 2*l_x = 4*l_z, so rounds must be a"
-                    " multiple of 4"
-                )
-            l_z = self.rounds // 4 if self.l_z is None else check_count("l_z", self.l_z)
-            l_x = 2 * l_z if self.l_x is None else check_count("l_x", self.l_x)
-            if self.rounds != 4 * l_z or self.rounds != 2 * l_x:
-                raise ParameterError(
-                    f"approach B requires rounds = 2*l_x = 4*l_z; got rounds={self.rounds},"
-                    f" l_z={l_z}, l_x={l_x}"
-                )
-            object.__setattr__(self, "l_z", l_z)
-            object.__setattr__(self, "l_x", l_x)
+        if self.approach == "A" and self.rounds % 2 != 0:
+            raise ParameterError("approach A requires an even number of rounds")
+        if self.approach == "B" and self.rounds % 4 != 0:
+            raise ParameterError(
+                "approach B requires rounds = 2*l_x = 4*l_z, so rounds must be a"
+                " multiple of 4"
+            )
+
+    @property
+    def l_z(self) -> int | None:
+        return self.rounds // 4 if self.approach == "B" else None
+
+    @property
+    def l_x(self) -> int | None:
+        return self.rounds // 2 if self.approach == "B" else None
 
     @property
     def eta_per_cycle(self) -> float:
@@ -494,8 +487,8 @@ def _index(cols: list[int]) -> slice | np.ndarray:
 
 
 class _Scan:
-    """One pass of the engine over runs that differ only in rounds (and
-    approach B's flip periods), and each run's outcome.
+    """One pass of the engine over runs that differ only in rounds, and each
+    run's outcome.
 
     The longest schedule is the first column of a stack of states; a run
     whose schedule is a prefix of it stops on that column, any other run gets

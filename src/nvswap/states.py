@@ -112,9 +112,11 @@ def check_number(name: str, value: float, kind: str, low: float, high: float) ->
     The type test is an isinstance tuple, as the numbers.Real check costs 0.66 us
     a call and an approach-A scan builds 32 ProtocolParams."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        value = float(value)
-        if low <= value <= high:
-            return value
+        try:
+            if low <= (value := float(value)) <= high:
+                return value
+        except OverflowError:  # an int beyond the float range
+            pass
     raise ParameterError(f"{name} must be {kind}, got {value!r}")
 
 

@@ -175,6 +175,12 @@ class TestCliRun:
         assert flagged == capsys.readouterr().out
         assert flagged.splitlines()[0].endswith("mc_cumulative_success")
 
+    def test_overflowing_dephasing_ratio_runs(self, tmp_path, capsys):
+        # (tau / t2) ** 2 raised OverflowError (exit 1); the spins now fully dephase
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG + "tau_ns = 1e10\nt2_us = 1e-150\n")
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("round,cumulative_success")
+
 
 class TestCliErrors:
     def test_unknown_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -193,6 +199,12 @@ class TestCliErrors:
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_flip_period_key_exits_2(self, tmp_path, capsys):
+        # approach B's l_z and l_x follow from rounds and are no config keys
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG + "l_z = 4\n")
+        assert cli.main(["run", "--config", cfg]) == 2
+        assert "unknown key 'l_z'" in capsys.readouterr().err
 
     def test_invalid_parameter_exits_2(self, tmp_path, capsys):
         cfg = write_config(

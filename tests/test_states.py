@@ -193,10 +193,21 @@ class TestCheckProbability:
 
 
 @pytest.mark.parametrize(
-    "value", [bytearray(b"0.5"), None, float("nan"), np.float64("nan"), 0.5j, [0.5]]
+    "value",
+    [
+        bytearray(b"0.5"),
+        None,
+        float("nan"),
+        np.float64("nan"),
+        0.5j,
+        [0.5],
+        pytest.param(10**400, id="huge_int"),
+        pytest.param(-(10**400), id="-huge_int"),
+    ],
 )
 def test_check_probability_rejects_other_non_numbers_and_nan(value):
-    # a bytearray was converted to 0.5; None, complex and lists raised a bare TypeError
+    # a bytearray was converted to 0.5; None, complex and lists raised a bare
+    # TypeError, and an int beyond the float range a bare OverflowError
     with pytest.raises(ParameterError, match=r"^p must be a probability in \[0, 1\], got"):
         check_probability("p", value)
 
