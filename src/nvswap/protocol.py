@@ -15,23 +15,19 @@ approaches are supported:
 Weights are conserved exactly: herald weights plus failure plus residual
 equal the initial weight to float precision.
 
-Engine.  Every channel is linear on the unnormalized density operator, and
-the evolving operator is real and nonzero on at most 104 of its 1024 entries
-(the initial pattern closed under every channel's Kraus operators).  So a
-pass compiles its parameter set, from the weighted Kraus terms in `channels`,
-to real maps on that support (`_compile`): one no-click round map per flip
-kind it uses (absorption, no-click, loss, dephasing, flip), and one herald
-map reading the click branch's reduced pair-13 block, its weight and its
-dark-click weight off a round's input state.  Approach A's final parity
-measurement is read the same way, through the lifted `channels.parity_terms`,
-off each run's final state.  A pass (`_Scan`) evolves a stack of states, one
-column per run, where runs whose schedule is a prefix of the longest one
-share its column: each round is one matrix-vector product per column,
-grouped by flip kind.  The herald readout, the checks and the aggregates are then read
-off the stored stack in a few array operations, so `optimize_rounds` scores
-all its candidates from one pass and `run_protocol` is the pass with one
-column and one stop.  The JointState channel functions stay the readable
-spec; the test suite runs a round loop on them as the oracle.
+Engine.  Every channel is linear on the unnormalized density operator, which
+stays real and inside 104 of its 1024 entries; these split into 8 blocks
+that every channel preserves (`_Support` derives both from the weighted
+Kraus terms in `channels`).  A pass compiles its parameter set to a herald
+readout and one no-click round map per flip kind it uses, each map a stack
+of 8 zero-padded 16x16 blocks (`_compile`), and evolves a stack of states,
+one column per run and one matrix-vector product per column and block each
+round (`_Scan`).  Heralds, checks and aggregates are read off the stored
+stack in a few array operations, so `optimize_rounds` scores all its
+candidates from one pass and `run_protocol` is the pass with one column.
+Approach A's final parity measurement is read off each run's final state
+the same way.  The JointState channel functions stay the readable spec; the
+test suite runs a round loop on them as the oracle.
 
 Herald sums have one order (see `ProtocolResult._herald_sums`, the one walk
 over a herald log), which `_Scan` keeps too, so every consumer agrees bit
@@ -357,13 +353,29 @@ def run_protocol(
     return _Scan((params,), (_resolve_schedule(params, schedule),)).result(0)
 
 
-class _Support:
-    """The reachable entries of the density matrix.
+def _components(count: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each of `count` entries' connected component under the edges sources[e] -
+    targets[e], numbered in the order of the components' first entries."""
+    label, joined = None, np.arange(count)
+    while not np.array_equal(label, joined):  # each takes its neighbours' smallest label
+        label, joined = joined, joined.copy()
+        np.minimum.at(joined, sources, label[targets])
+        np.minimum.at(joined, targets, label[sources])
+    return np.unique(label, return_inverse=True)[1]
 
-    The initial state's nonzero pattern, closed under every Kraus operator of
-    every channel, holds 104 of the 1024 entries; the evolving matrix is real
-    and stays inside it.  A state is the real vector of those entries in
-    row-major order, with its weight folded in (trace = branch weight).
+
+class _Support:
+    """The reachable entries of the density matrix, split into invariant blocks.
+
+    A Kraus operator K couples entry (c, d) into (a, b) where K[a, c] K[b, d]
+    != 0.  The initial pattern closed under every channel's couplings is the
+    support (`rows`, `cols`: 104 entries, where the evolving matrix stays
+    real); the couplings' connected components are blocks that every lifted
+    operator preserves, and a term that couples two blocks merges them.  A
+    map is a (blocks, width, width) stack of zero-padded blocks and a state a
+    (blocks, width) stack with its weight folded in; entry i sits at
+    `slot[i]` of a state's flat view, which every readout (`trace`, `a2`,
+    `herald_rows`, `pairs`) acts on.
     """
 
     def __init__(self) -> None:
@@ -373,53 +385,62 @@ class _Support:
         channels += [flip_terms(kind) for kind in FlipKind]
         channels += [terms for obs in PARITY_TABLE for terms in parity_terms(obs, 0.5)]
         operators = {id(k): k for terms in channels for _, k in terms}
+        # each operator's couplings: flat (a, b) and (c, d), and K[a, c] K[b, d]
+        couplings = {}
+        for key, k in operators.items():
+            a, c = np.nonzero(k)
+            out, into = a[:, None] * DIM_TOTAL + a, c[:, None] * DIM_TOTAL + c
+            couplings[key] = (out.ravel(), into.ravel(), np.outer(k[a, c], k[a, c]).ravel())
+        outs, ins, _ = (np.concatenate(parts) for parts in zip(*couplings.values()))
         amplitudes = initial_amplitudes()
-        initial = np.outer(amplitudes, amplitudes)
-        pattern = initial != 0.0
-        while True:
-            grown = pattern.copy()
-            for k in operators.values():
-                nonzero = (k != 0.0).astype(float)
-                grown |= nonzero @ pattern @ nonzero.T != 0.0
-            if np.array_equal(grown, pattern):
-                break
-            pattern = grown
-        rows, cols = np.nonzero(pattern)
-        self.rows, self.cols = rows, cols
-        self.initial = initial
-        self.trace = (rows == cols).astype(float)
-        # the (upper, lower) positions of the symmetric off-diagonal pairs
-        position = {(r, c): i for i, (r, c) in enumerate(zip(rows, cols))}
+        self.initial = np.outer(amplitudes, amplitudes)
+        reached = self.initial.ravel() != 0.0
+        while not reached[outs[reached[ins]]].all():
+            reached[outs[reached[ins]]] = True
+        self.rows, self.cols = rows, cols = np.divmod(np.flatnonzero(reached), DIM_TOTAL)
+        entry = np.cumsum(reached) - 1  # an entry's number, by flat index
+        on = reached[ins]
+        block = _components(len(rows), entry[outs[on]], entry[ins[on]])
+        # entry i is the position[i]-th of its block, in row-major order
+        onehot = block[:, None] == np.arange(block.max() + 1)
+        self.blocks, self.width = onehot.shape[1], int(onehot.sum(axis=0).max())
+        position = (np.cumsum(onehot, axis=0) - 1)[onehot]
+        self.slot = block * self.width + position
+        # the channels' operators are module constants, so each is lifted
+        # once and found by id (the entry keeps K alive, so no other array
+        # can take its id): its flat indices into a block stack and values
+        self._lifted = {}
+        for key, (out, into, values) in couplings.items():
+            kept = reached[into]
+            where = self.slot[entry[out[kept]]] * self.width + position[entry[into[kept]]]
+            self._lifted[key] = (operators[key], where, values[kept])
+        self.trace = np.zeros(self.blocks * self.width)
+        self.trace[self.slot[rows == cols]] = 1.0
+        # the (upper, lower) slots of the symmetric off-diagonal pairs
         upper = np.flatnonzero(rows < cols)
-        self.pairs = upper, np.array([position[cols[i], rows[i]] for i in upper])
+        self.pairs = self.slot[upper], self.slot[entry[cols[upper] * DIM_TOTAL + rows[upper]]]
         pair_r, slot_r = np.divmod(rows, DIM_2P)
         pair_c, slot_c = np.divmod(cols, DIM_2P)
         # herald_rows: the partial trace over node2p (16 rows, the 4x4 block) and the trace
         same = np.flatnonzero(slot_r == slot_c)
-        self.herald_rows = np.zeros((DIM_PAIR13 * DIM_PAIR13 + 1, len(rows)))
-        self.herald_rows[pair_r[same] * DIM_PAIR13 + pair_c[same], same] = 1.0
+        self.herald_rows = np.zeros((DIM_PAIR13 * DIM_PAIR13 + 1, len(self.trace)))
+        self.herald_rows[pair_r[same] * DIM_PAIR13 + pair_c[same], self.slot[same]] = 1.0
         self.herald_rows[-1] = self.trace
-        # K (x) K on the support, M[(a,b),(c,d)] = K[a,c] K[b,d], gathers
-        # K[rows_i, rows_j] and K[cols_i, cols_j]; the channels' operators are
-        # module constants, so each is lifted once and found by id (the
-        # entry keeps K alive, so no other array can take its id)
-        gather_rows = (rows[:, None] * DIM_TOTAL + rows[None, :]).ravel()
-        gather_cols = (cols[:, None] * DIM_TOTAL + cols[None, :]).ravel()
-        self._lifted = {}
-        for key, k in operators.items():
-            dense = k.take(gather_rows) * k.take(gather_cols)
-            where = np.flatnonzero(dense)
-            self._lifted[key] = (k, where, dense[where])
-        self.a2 = self.trace @ self.lift(((1.0, A2_PROJECTOR),))
+        self.a2 = self.read(self.trace[None], self.lift(((1.0, A2_PROJECTOR),)))[0]
 
     def lift(self, terms: Terms) -> np.ndarray:
-        """Superoperator of weighted Kraus terms of the channels on the support."""
-        n = len(self.rows)
-        out = np.zeros(n * n)
+        """Superoperator of weighted Kraus terms of the channels, as a
+        (blocks, width, width) stack."""
+        out = np.zeros(self.blocks * self.width * self.width)
         for w, k in terms:
             _, where, values = self._lifted[id(k)]
             out[where] += w * values
-        return out.reshape(n, n)
+        return out.reshape(self.blocks, self.width, self.width)
+
+    def read(self, rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
+        """Readouts (rows on the flat view) after a block map, one product per block."""
+        stacked = rows.reshape(len(rows), self.blocks, self.width).transpose(1, 0, 2)
+        return np.matmul(stacked, maps).transpose(1, 0, 2).reshape(len(rows), -1)
 
 
 _support = functools.cache(_Support)
@@ -428,41 +449,42 @@ _support = functools.cache(_Support)
 def _compile(
     params: ProtocolParams, codes: Iterable[int]
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """One parameter set's rounds, compiled to real maps on the support.
+    """One parameter set's rounds, compiled to real block maps on the support.
 
     A round is absorption, the herald split, then on the no-click branch
     photon loss, dephasing of all three spins and the scheduled flip.
     Returns the herald map, which reads the click branch's reduced pair-13
     block (16 rows), its weight and its dark-click weight (the click branch
-    at p_qnd = 0) off the absorbed state, and the no-click round map of each
-    given flip-kind code (an index into _KINDS).  Both include the
-    absorption, so both act on the state a round starts from.
+    at p_qnd = 0) off the absorbed state's flat view, and the no-click round
+    map of each given flip-kind code (an index into _KINDS).  Both include
+    the absorption, so both act on the state a round starts from.
     """
     support = _support()
+    lift, read = support.lift, support.read
     absorb, leak = absorption_terms(params.p_abs, params.r_a1)
-    absorbed = support.lift(leak) @ support.lift(absorb)
+    absorbed = lift(leak) @ lift(absorb)
     click, noclick = qnd_terms(params.p_qnd, params.p_dark)
     dark, _ = qnd_terms(0.0, params.p_dark)
-    block = support.herald_rows @ support.lift(click) @ absorbed
-    herald = np.vstack([block, support.trace @ support.lift(dark) @ absorbed])
-    base = support.lift(noclick) @ absorbed
+    block = read(read(support.herald_rows, lift(click)), absorbed)
+    herald = np.vstack([block, read(read(support.trace[None], lift(dark)), absorbed)])
+    base = lift(noclick) @ absorbed
     eta = params.eta_per_cycle
     for terms in [loss_terms(params.p_loss)] + [dephasing_terms(eta, site) for site in ALL_SPINS]:
-        base = support.lift(terms) @ base
+        base = lift(terms) @ base
     maps = {}
     for code in codes:
         kind = _KINDS[code]
-        maps[code] = base if kind is FlipKind.NONE else support.lift(flip_terms(kind)) @ base
+        maps[code] = base if kind is FlipKind.NONE else lift(flip_terms(kind)) @ base
     return herald, maps
 
 
 def _advance(round_map: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """One round of a compiled round map on a (k, 104) stack of states.
+    """One round of a compiled block map on a (k, blocks, width) stack of states.
 
-    A stacked matmul is one matrix-vector product per state, so a state's
-    result does not depend on the other states in the stack.
+    A stacked matmul is one matrix-vector product per state and block, so a
+    state's result does not depend on the other states in the stack.
     """
-    return np.matmul(round_map, states[:, :, None])[:, :, 0]
+    return np.matmul(round_map, states[..., None])[..., 0]
 
 
 _KINDS = tuple(FlipKind)
@@ -492,18 +514,21 @@ class _Scan:
 
     The longest schedule is the first column of a stack of states; a run
     whose schedule is a prefix of it stops on that column, any other run gets
-    a column of its own.  So approach A's round counts share one column and approach
-    B's have one each.  The maps are compiled once, for the flip kinds the
-    schedules use, and the round loop applies, per flip kind present, that
-    kind's map to its columns (`_advance`) and stores the states.
-    Everything else is read off the stored stack at once: the herald
+    a column of its own.  So approach A's round counts share one column and
+    approach B's have one each.  The maps are compiled once, for the flip
+    kinds the schedules use, and the round loop applies, per flip kind
+    present, that kind's block map to its columns (`_advance`).  The stack
+    stores every state of every round in all its blocks, so that the
+    symmetry check compares each entry with its stored transpose.
+    Everything else is read off the stack's flat view at once: the herald
     readout, the checks (see the module docstring), the branch floor (a
     no-click weight at or below BRANCH_WEIGHT_FLOOR empties the column from
     that round on, as in a round-by-round loop), the cumulative sums, and
-    per run the final state, its parity outcomes (approach A) and the
-    arrays `optimize_rounds` scores.  `result(i)` builds run i's
-    ProtocolResult from those arrays.  `schedules` defaults to each run's
-    build_schedule, and `rho`, the initial density matrix, to the protocol's.
+    per run the final state (as a 32x32 matrix), its parity outcomes
+    (approach A) and the arrays `optimize_rounds` scores.  `result(i)`
+    builds run i's ProtocolResult from those arrays.  `schedules` defaults
+    to each run's build_schedule, and `rho`, the initial density matrix, to
+    the protocol's.
     """
 
     def __init__(
@@ -547,10 +572,12 @@ class _Scan:
             if cols
         ]
         herald, maps = _compile(params, {code for _, code, _ in plan})
-        states = np.zeros((n + 1, m, len(support.rows)))
-        states[0] = rho[support.rows, support.cols]
+        stack = np.zeros((n + 1, m, support.blocks, support.width))
+        # the flat view, which every readout below acts on
+        states = stack.reshape(n + 1, m, -1)
+        states[0][:, support.slot] = rho[support.rows, support.cols]
         for r, code, cols in plan:
-            states[r, cols] = _advance(maps[code], states[r - 1, cols])
+            stack[r, cols] = _advance(maps[code], stack[r - 1, cols])
         # flips[r]: (phase, polarisation) flips applied in the first r rounds
         flips = np.zeros((n + 1, m, 2), dtype=int)
         flips[1:] = np.cumsum(_FLIP_COUNTS[codes], axis=0)
@@ -613,7 +640,9 @@ class _Scan:
         # parity weights are exactly 0
         empty = weight <= BRANCH_WEIGHT_FLOOR
         matrices = np.zeros((len(runs), DIM_TOTAL, DIM_TOTAL))
-        matrices[:, support.rows, support.cols] = finals / np.where(empty, 1.0, weight)[:, None]
+        matrices[:, support.rows, support.cols] = (
+            finals[:, support.slot] / np.where(empty, 1.0, weight)[:, None]
+        )
         if not empty.all():
             check_density(matrices[~empty])
         # the unnormalised A2 weight, one dot product per run, so that a run's
@@ -625,7 +654,7 @@ class _Scan:
         sectors = np.zeros((len(self._parity_targets), len(runs), len(support.herald_rows)))
         if params.approach == "A":
             terms = parity_terms(params.flip_observable, params.detector_eff)
-            readout = np.stack([support.herald_rows @ support.lift(outcome) for outcome in terms])
+            readout = np.stack([support.read(support.herald_rows, support.lift(t)) for t in terms])
             sectors = np.matmul(readout[:, None], finals[None, :, :, None])[..., 0]
         found = sectors[..., -1] > BRANCH_WEIGHT_FLOOR
         self._parity_weights = np.where(found, sectors[..., -1], 0.0)

@@ -106,6 +106,14 @@ def slot_columns(*slots: int) -> np.ndarray:
     return (np.arange(DIM_PAIR13)[:, None] * DIM_2P + np.array(slots, dtype=int)).reshape(-1)
 
 
+def _shown(value: object) -> str:
+    """repr(value), or the size of an int too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:  # beyond the int-to-str digit limit (sys.set_int_max_str_digits)
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def check_number(name: str, value: float, kind: str, low: float, high: float) -> float:
     """A number in [low, high], returned as a float.  Text, bools, None, other
     non-numbers and nan are rejected, not converted: float() takes "0.5" and True.
@@ -117,7 +125,7 @@ def check_number(name: str, value: float, kind: str, low: float, high: float) ->
                 return value
         except OverflowError:  # an int beyond the float range
             pass
-    raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    raise ParameterError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def check_probability(name: str, value: float) -> float:
@@ -139,7 +147,7 @@ def check_nonnegative(
 def check_count(name: str, value: int) -> int:
     """A positive count: any integral type but bool, returned as a plain int."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        raise ParameterError(f"{name} must be a positive integer, got {_shown(value)}")
     return int(value)
 
 
@@ -148,7 +156,7 @@ def check_seed(seed: int | None) -> None:
     if seed is not None and (
         not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0
     ):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ParameterError(f"seed must be a non-negative integer, got {_shown(seed)}")
 
 
 def _validate_matrix(matrix: np.ndarray, weight: float) -> None:

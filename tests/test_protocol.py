@@ -34,7 +34,11 @@ from util import (
     NOT_NUMBERS,
     assert_results_close,
     assert_results_identical,
+    every_channel_terms,
     reference_run,
+    scatter_blocks,
+    spec_maps,
+    support_superoperator,
 )
 
 
@@ -550,6 +554,104 @@ class TestCompiledEngine:
         rho[basis_index(BellLabel.PHI_PLUS, 2), basis_index(BellLabel.PHI_MINUS, 3)] = np.nan
         with pytest.raises(StateValidationError, match="does not conserve weight"):
             self.evolve(rho)
+
+
+def _blocks(support) -> np.ndarray:
+    """The block of each support entry."""
+    return support.slot // support.width
+
+
+class TestBlockPartition:
+    """The support's invariant blocks, against superoperators built straight
+    from channels.kraus_sum (tests/util.py)."""
+
+    @pytest.fixture(scope="class")
+    def couplings(self):
+        support = protocol._support()
+        rows, cols = support.rows, support.cols
+        stages = [support_superoperator(terms, rows, cols) for terms in every_channel_terms()]
+        return np.nonzero(np.logical_or.reduce([stage != 0.0 for stage in stages]))
+
+    def test_eight_blocks_two_of_16_and_six_of_12(self):
+        support = protocol._support()
+        assert (support.blocks, support.width) == (8, 16)
+        assert sorted(np.bincount(_blocks(support))) == [12] * 6 + [16] * 2
+
+    def test_every_lifted_operator_stays_in_its_blocks(self):
+        support = protocol._support()
+        block = _blocks(support)
+        across = block[:, None] != block[None, :]
+        for terms in every_channel_terms():
+            for _, kraus in terms:
+                stage = support_superoperator(((1.0, kraus),), support.rows, support.cols)
+                assert not stage[across].any()
+                assert np.array_equal(scatter_blocks(support, support.lift(((1.0, kraus),))), stage)
+
+    def test_transposed_block_pairs_map_onto_each_other(self):
+        support = protocol._support()
+        upper, lower = support.pairs
+        partner = dict(zip(upper.tolist(), lower.tolist()))
+        partner |= {b: a for a, b in partner.items()}
+        images = {}
+        for slot in support.slot.tolist():
+            image = partner.get(slot, slot) // support.width
+            images.setdefault(slot // support.width, set()).add(image)
+        # transposition maps each block onto one block, and is an involution
+        assert all(len(image) == 1 for image in images.values())
+        swap = {b: image.pop() for b, image in images.items()}
+        assert all(swap[swap[b]] == b for b in swap)
+        pairs = {frozenset((b, c)) for b, c in swap.items() if b != c}
+        assert len(pairs) == 2
+        sizes = np.bincount(_blocks(support))
+        assert all(sizes[b] == sizes[c] == 12 for b, c in map(tuple, pairs))
+
+    def test_partition_is_the_components_of_the_couplings(self, couplings):
+        support = protocol._support()
+        assert np.array_equal(protocol._components(len(support.rows), *couplings), _blocks(support))
+
+    def test_an_extra_coupling_merges_the_two_blocks_it_joins(self, couplings):
+        support = protocol._support()
+        block = _blocks(support)
+        first, last = np.flatnonzero(block == 0)[0], np.flatnonzero(block == 7)[-1]
+        sources = np.append(couplings[0], last)
+        targets = np.append(couplings[1], first)
+        merged = protocol._components(len(support.rows), sources, targets)
+        assert merged.max() == 6
+        assert merged[first] == merged[last]
+        # every other pair of entries stays together or apart as before
+        rest = ~np.isin(block, (0, 7))
+        before = block[rest][:, None] == block[rest][None, :]
+        assert np.array_equal(merged[rest][:, None] == merged[rest][None, :], before)
+
+
+class TestCompiledMaps:
+    """_compile's block maps, scattered back to the support, against products
+    of stage superoperators built straight from channels.kraus_sum."""
+
+    @pytest.mark.parametrize("approach", ["A", "B"])
+    @pytest.mark.parametrize("kind", list(FlipKind))
+    def test_maps_equal_the_spec_products(self, approach, kind):
+        rng = np.random.default_rng([ord(approach), protocol._KINDS.index(kind)])
+        params = ProtocolParams(
+            approach,
+            p_abs=rng.uniform(0.01, 1.0),
+            rounds=4,
+            r_a1=rng.uniform(0.0, 0.05),
+            p_qnd=rng.uniform(0.5, 1.0),
+            p_dark=rng.uniform(0.0, 0.05),
+            p_loss=rng.uniform(0.0, 0.3),
+            tau_cycle=rng.uniform(0.0, 5e-6),
+            detector_eff=rng.uniform(0.5, 1.0),
+        )
+        support = protocol._support()
+        code = protocol._KINDS.index(kind)
+        herald, maps = protocol._compile(params, [code])
+        spec_herald, spec_round = spec_maps(params, kind, support.rows, support.cols)
+        assert np.abs(scatter_blocks(support, maps[code]) - spec_round).max() <= 1e-14
+        padding = np.ones(herald.shape[1], dtype=bool)
+        padding[support.slot] = False
+        assert not herald[:, padding].any()
+        assert np.abs(herald[:, support.slot] - spec_herald).max() <= 1e-14
 
 
 class TestOneBuildPerScan:

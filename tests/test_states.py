@@ -10,7 +10,9 @@ from nvswap.states import (
     ParameterError,
     StateValidationError,
     basis_index,
+    check_count,
     check_probability,
+    check_seed,
     make_initial_state,
     slot_columns,
 )
@@ -210,6 +212,23 @@ def test_check_probability_rejects_other_non_numbers_and_nan(value):
     # TypeError, and an int beyond the float range a bare OverflowError
     with pytest.raises(ParameterError, match=r"^p must be a probability in \[0, 1\], got"):
         check_probability("p", value)
+
+
+# ints with more digits than Python prints (4,300 by default): the rejection
+# message itself once raised a bare ValueError from repr()
+def test_check_probability_rejects_an_unprintable_int():
+    with pytest.raises(ParameterError, match=r"^p must be .*, got an integer of 16610 bits$"):
+        check_probability("p", 10**5000)
+
+
+def test_check_count_rejects_an_unprintable_negative_int():
+    with pytest.raises(ParameterError, match="^rounds must be .*, got a negative integer of"):
+        check_count("rounds", -(10**5000))
+
+
+def test_check_seed_rejects_an_unprintable_negative_int():
+    with pytest.raises(ParameterError, match="^seed must be .*, got a negative integer of"):
+        check_seed(-(10**5000))
 
 
 @pytest.mark.parametrize("slots", [(3,), (SLOT_A1,), (0, 2), (2, 0), (4, 5, 6, 7)])

@@ -8,12 +8,22 @@ import numpy as np
 from hypothesis import Phase
 
 from nvswap.channels import (
+    ALL_SPINS,
+    PARITY_TABLE,
     FlipKind,
+    Terms,
     absorption_channel,
+    absorption_terms,
     dephasing_channel,
+    dephasing_terms,
     flip_channel,
+    flip_terms,
+    kraus_sum,
+    loss_terms,
+    parity_terms,
     photon_loss_channel,
     qnd_povm,
+    qnd_terms,
 )
 from nvswap.protocol import (
     HeraldRecord,
@@ -24,7 +34,7 @@ from nvswap.protocol import (
     epoch_target,
     final_parity_measurement,
 )
-from nvswap.states import DIM_TOTAL, BellLabel, JointState, make_initial_state
+from nvswap.states import DIM_2P, DIM_PAIR13, DIM_TOTAL, BellLabel, JointState, make_initial_state
 
 # Bell change-of-basis matrix: columns are phi+, phi-, psi+, psi- expressed in
 # the product basis |00>, |01>, |10>, |11> (first factor = spin with +1 -> 0,
@@ -215,3 +225,72 @@ def reference_run(
         fidelity_per_target=fidelity_per_target,
         success_per_target=success_per_target,
     )
+
+
+def every_channel_terms() -> list[Terms]:
+    """The weighted Kraus terms of every channel, parity outcomes included, at
+    generic parameters (every operator appears with a nonzero weight)."""
+    click, noclick = qnd_terms(0.3, 0.2)
+    terms = [*absorption_terms(0.4, 0.3), click, noclick, loss_terms(0.25)]
+    terms += [dephasing_terms(0.6, site) for site in ALL_SPINS]
+    terms += [flip_terms(kind) for kind in FlipKind]
+    return terms + [outcome for obs in PARITY_TABLE for outcome in parity_terms(obs, 0.7)]
+
+
+def support_superoperator(terms: Terms, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The superoperator of weighted Kraus terms on the support entries
+    (rows[i], cols[i]): column j is channels.kraus_sum applied to the j-th
+    basis matrix, read back on the support.  Independent of the engine's lift;
+    asserts that nothing lands off the support."""
+    out = np.zeros((len(rows), len(rows)))
+    on = np.zeros((DIM_TOTAL, DIM_TOTAL), dtype=bool)
+    on[rows, cols] = True
+    for j, (r, c) in enumerate(zip(rows, cols)):
+        basis = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        basis[r, c] = 1.0
+        image = kraus_sum(basis, terms)
+        assert not image[~on].any(), "a channel leaves the support"
+        out[:, j] = image[rows, cols]
+    return out
+
+
+def spec_maps(params: ProtocolParams, kind: FlipKind, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """One round on the support, as products of stage superoperators built
+    straight from channels.kraus_sum: the herald map (the click branch's
+    reduced pair-13 block, its weight and its dark-click weight, read off the
+    round's input) and the no-click round map with the given flip."""
+
+    def stage(terms: Terms) -> np.ndarray:
+        return support_superoperator(terms, rows, cols)
+
+    absorb, leak = absorption_terms(params.p_abs, params.r_a1)
+    absorbed = stage(leak) @ stage(absorb)
+    click, noclick = qnd_terms(params.p_qnd, params.p_dark)
+    dark, _ = qnd_terms(0.0, params.p_dark)
+    # the partial trace over node2p and the trace, entry by entry
+    reduced = np.zeros((DIM_PAIR13 * DIM_PAIR13, len(rows)))
+    for j, (r, c) in enumerate(zip(rows, cols)):
+        basis = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        basis[r, c] = 1.0
+        tensor = basis.reshape(DIM_PAIR13, DIM_2P, DIM_PAIR13, DIM_2P)
+        reduced[:, j] = np.einsum("ikjk->ij", tensor).ravel()
+    trace = (rows == cols).astype(float)[None]
+    clicked = stage(click) @ absorbed
+    herald = np.vstack([reduced @ clicked, trace @ clicked, trace @ stage(dark) @ absorbed])
+    round_map = stage(noclick) @ absorbed
+    round_map = stage(loss_terms(params.p_loss)) @ round_map
+    for site in ALL_SPINS:
+        round_map = stage(dephasing_terms(params.eta_per_cycle, site)) @ round_map
+    return herald, stage(flip_terms(kind)) @ round_map
+
+
+def scatter_blocks(support, maps: np.ndarray) -> np.ndarray:
+    """A (blocks, width, width) stack of block maps as the square map on the
+    support entries, asserting that every padding entry is zero."""
+    block, position = np.divmod(support.slot, support.width)
+    same = block[:, None] == block[None, :]
+    i, j = np.nonzero(same)
+    kept = np.zeros(maps.shape, dtype=bool)
+    kept[block[i], position[i], position[j]] = True
+    assert not maps[~kept].any(), "a block map has an entry off its block"
+    return np.where(same, maps[block[:, None], position[:, None], position[None, :]], 0.0)
