@@ -613,11 +613,9 @@ class _Scan:
                 f" (max asymmetry {skew[r, c]:.3e})"
             )
 
-        # heralds: clicks above the floor, their conditionals checked together
+        # heralds: clicks above the floor
         recorded = live & (click > BRANCH_WEIGHT_FLOOR)
         blocks = heralds[..., :-2].reshape(n, m, DIM_PAIR13, DIM_PAIR13)
-        if recorded.any():
-            check_density(blocks[recorded] / click[recorded][:, None, None])
         targets = _TARGETS[flips[:-1, :, 0] % 2, flips[:-1, :, 1] % 2]
         # block[t, t] of the target t sits at 5t in the flattened 4x4 block
         target_entry = np.take_along_axis(heralds, (DIM_PAIR13 + 1) * targets[..., None], -1)
@@ -643,8 +641,6 @@ class _Scan:
         matrices[:, support.rows, support.cols] = (
             finals[:, support.slot] / np.where(empty, 1.0, weight)[:, None]
         )
-        if not empty.all():
-            check_density(matrices[~empty])
         # the unnormalised A2 weight, one dot product per run, so that a run's
         # bits do not depend on how many runs the scan holds
         self.false_negative = np.matmul(finals[:, None, :], support.a2[:, None])[:, 0, 0]
@@ -660,6 +656,10 @@ class _Scan:
         self._parity_weights = np.where(found, sectors[..., -1], 0.0)
         conditionals = sectors[..., :-1] / np.where(found, sectors[..., -1], 1.0)[..., None]
         self._parity_conditionals = conditionals.reshape(*found.shape, DIM_PAIR13, DIM_PAIR13)
+        # every herald conditional in one check (clicks, then parity), then the final states
+        clicked = blocks[recorded] / click[recorded][:, None, None]
+        check_density(np.concatenate([clicked, self._parity_conditionals[found]]))
+        check_density(matrices[~empty])
         # added after the clicks, even then odd, in the order of the herald log
         parity = self._parity_weights.sum(axis=0)
         for target, heralded, conditional in zip(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -145,9 +146,11 @@ def check_nonnegative(
 
 
 def check_count(name: str, value: int) -> int:
-    """A positive count: any integral type but bool, returned as a plain int."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {_shown(value)}")
+    """A positive count up to sys.maxsize, the largest length or index Python
+    and numpy take: any integral type but bool, returned as a plain int."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and 1 <= value <= sys.maxsize):
+        raise ParameterError(f"{name} must be an integer in [1, sys.maxsize], got {_shown(value)}")
     return int(value)
 
 
@@ -183,8 +186,9 @@ _CHECK_SLICE_BYTES = 1 << 17
 
 
 def check_density(matrix: np.ndarray) -> None:
-    """A square matrix, or a stack of them, must be finite, Hermitian, of unit
-    trace and positive semidefinite, each within the tolerances above.
+    """A square matrix, or a stack of them (an empty stack passes), must be
+    finite, Hermitian, of unit trace and positive semidefinite, each within
+    the tolerances above.
 
     The PSD check factors matrix - EIGENVALUE_FLOOR * I by Cholesky, which
     succeeds exactly when the smallest eigenvalue is at least EIGENVALUE_FLOOR
@@ -197,12 +201,12 @@ def check_density(matrix: np.ndarray) -> None:
         return
     if not np.all(np.isfinite(matrix)):
         raise StateValidationError("state matrix contains non-finite entries")
-    asymmetry = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max()
+    asymmetry = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max(initial=0.0)
     if asymmetry > HERMITICITY_ATOL:
         raise StateValidationError(f"state matrix is not Hermitian (max asymmetry {asymmetry:.3e})")
     traces = np.trace(matrix, axis1=-2, axis2=-1).real
     deviation = np.abs(traces - 1.0)
-    if deviation.max() > TRACE_ATOL:
+    if deviation.max(initial=0.0) > TRACE_ATOL:
         trace = float(traces.flat[deviation.argmax()])
         raise StateValidationError(f"state matrix trace is {trace!r}, expected 1")
     try:

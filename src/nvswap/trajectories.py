@@ -14,14 +14,19 @@ whole rows are read (clicks, photon loss, the final parity stage).  The
 arithmetic and the draws from the generator are those of a true-basis loop,
 so a seed fixes the result.
 
-Each step computes only on the rows it can change.  Outside `holds_a2` a
-row has no A2 amplitude, outside `has_photon` none on the photon slots 0-3:
-only a j=3 transfer hit fills A2, a transfer hit leaves a pure A2 or A1 row,
-photon loss maps slots 0-3 to 6-7 and its gone branch keeps 4-7, and NV2
-dephasing and the flips map slots 4-7 to themselves.  A skipped row would
-meet p2 == 0 (herald), pop == 0 (transfer) or q_gone == 1.0 (loss), a no-op.
-Every draw keeps its size and order, so at most the sign of a zero differs,
-which no output sees: amplitudes reach outputs only squared.
+Each step computes only on the rows it can change, which two masks track.
+A `holds_a2` row is pure A2 and any other row holds no A2: only a j=3
+transfer hit sets the mask and leaves a pure A2 row, QND misses keep the
+row, and the spin kicks and the flips keep slot 4 in place.  A `has_photon`
+row holds nothing on slots 4-7 and any other row nothing on slots 0-3: a
+transfer hit leaves a pure A2 or A1 row, photon loss maps slots 0-3 to 6-7,
+and NV2 dephasing and the flips keep slots 4-7 among themselves.  So the
+herald's collapse onto or off A2 is certain and changes no row, and photon
+loss has two outcomes, as its gone outcome has weight 0 on a photon row.
+The herald step still draws the uniforms that once decided its collapse, so
+that a seed keeps its stream; every draw keeps its size and order, so at
+most the sign of a zero differs, which no output sees: amplitudes reach
+outputs only squared.
 
 The dynamics here deliberately share only the basis tables with
 `channels.py` (the flip and dephasing tables, the loss Kraus maps and
@@ -67,7 +72,6 @@ _J3_COLS = slot_columns(3)
 _J2_COLS = slot_columns(2)
 _A2_COLS = slot_columns(SLOT_A2)
 _A1_COLS = slot_columns(SLOT_A1)
-_GONE_COLS = slot_columns(*range(SLOT_A2, DIM_2P))
 
 _HERALD_NONE = 0
 _HERALD_CLICK = 1
@@ -149,10 +153,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def _binomial_se(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 @dataclass(frozen=True)
 class TrajectoryResult:
     """Sampled analogue of ProtocolResult with standard errors."""
@@ -211,8 +211,6 @@ def run_trajectories(
     # of size m covers the live ids in `alive`, in order
     for r in range(1, params.rounds + 1):
         m = len(alive)
-        if m == 0:
-            break
 
         # absorption attempts: transfer j=3 into the a2 slot, then j=2 into a1
         for p_attempt, src_cols, dst_cols, to_a2 in (
@@ -244,25 +242,11 @@ def run_trajectories(
                 psi[miss_ids[:, None], src] = 0.0
                 _renormalize(psi, miss_ids, 1.0 - pop[~hit])
 
-        # herald measurement: collapse onto/off the a2 slot, then the detector fires
-        a2 = frame.inv[_A2_COLS]
-        held = holds_a2[alive]
-        held_ids = alive[held]
-        a2_amps = psi[held_ids[:, None], a2]
-        p2 = (a2_amps**2).sum(axis=1)
-        in_a2 = np.zeros(m, dtype=bool)
-        in_a2[held] = rng.random(m)[held] < p2
-        on = in_a2[held]
-        if on.any():
-            # QND misses stay in holds_a2 and are re-collapsed every round
-            _collapse_keep(psi, held_ids[on], a2, p2[on])
-        holds_a2[held_ids[~on]] = False
-        # rows off a2 that hold no a2 amplitude are left as they are
-        off = ~on & a2_amps.any(axis=1)
-        if off.any():
-            off_ids = held_ids[off]
-            psi[off_ids[:, None], a2] = 0.0
-            _renormalize(psi, off_ids, 1.0 - p2[off])
+        # herald measurement: the collapse onto or off A2 is certain (see the
+        # module docstring); this draw only keeps the stream, and goes when
+        # the stream changes (ROADMAP item 6, step 2)
+        rng.random(m)
+        in_a2 = holds_a2[alive]
         c = rng.random(m)
         clicked = np.where(in_a2, c < params.p_qnd, c < params.p_dark)
         if clicked.any():
@@ -278,7 +262,7 @@ def run_trajectories(
             if m == 0:
                 break
 
-        # photon loss: three-outcome collapse on the attempting photon rows, in the true basis
+        # photon loss: two-outcome collapse on the attempting photon rows, in the true basis
         if params.p_loss > 0.0:
             attempt = alive[rng.random(m) < params.p_loss]
             v = rng.random(len(attempt))
@@ -291,17 +275,12 @@ def run_trajectories(
                 a_minus = sub @ LOSS_KRAUS[1].T
                 q_plus = (a_plus**2).sum(axis=1)
                 q_minus = (a_minus**2).sum(axis=1)
-                pick_plus = v < q_plus
-                pick_minus = (~pick_plus) & (v < q_plus + q_minus)
-                pick_gone = ~(pick_plus | pick_minus)
-                for pick, branch, q in ((pick_plus, a_plus, q_plus), (pick_minus, a_minus, q_minus)):
+                plus = v < q_plus
+                for pick, branch, q in ((plus, a_plus, q_plus), (~plus, a_minus, q_minus)):
                     if pick.any():
                         psi[attempt[pick]] = frame.from_true(
                             branch[pick] * (1.0 / np.sqrt(q[pick]))[:, None]
                         )
-                if pick_gone.any():
-                    q_gone = 1.0 - q_plus[pick_gone] - q_minus[pick_gone]
-                    _collapse_keep(psi, attempt[pick_gone], frame.inv[_GONE_COLS], q_gone)
 
         # dephasing: independent bit-flip kicks per spin
         if p_kick > 0.0:
@@ -322,9 +301,7 @@ def run_trajectories(
     psi = frame.to_true(psi[alive])
 
     # unheralded trajectories: a2 weight still on board counts as missed
-    false_negative = 0.0
-    if len(alive):
-        false_negative = float((psi[:, _A2_COLS] ** 2).sum()) / n
+    false_negative = float((psi[:, _A2_COLS] ** 2).sum()) / n
 
     parity_count = 0
     failure_count = 0
@@ -386,7 +363,7 @@ def run_trajectories(
         seed=seed,
         cumulative_success=cumulative,
         total_success=total_success,
-        total_success_se=_binomial_se(total_success, n),
+        total_success_se=math.sqrt(total_success * (1.0 - total_success) / n),
         parity_success=parity_count / n,
         failure_fraction=failure_count / n,
         residual_fraction=residual_count / n,

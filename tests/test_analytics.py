@@ -15,7 +15,9 @@ from nvswap.analytics import (
     db_to_probability,
     dephasing_factor,
     false_negative_bound,
+    false_negative_ratio,
     false_positive_bound,
+    false_positive_ratio,
     lorentzian_suppression,
     optimize_rounds,
     probability_to_db,
@@ -24,7 +26,7 @@ from nvswap.analytics import (
 from nvswap.protocol import ProtocolParams, _Scan, run_protocol
 from nvswap.states import ParameterError
 
-from util import NO_SHRINK, NOT_NUMBERS, assert_results_identical
+from util import BEYOND_INDEX_RANGE, HUGE_COUNTS, NO_SHRINK, NOT_NUMBERS, assert_results_identical
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 round_counts = st.integers(min_value=1, max_value=80)
@@ -104,6 +106,13 @@ class TestBoundFormulas:
             false_positive_bound(0.5, 2e-4, 2.5)
         with pytest.raises(ParameterError):
             false_positive_bound(0.5, 2e-4, True)
+
+    @pytest.mark.parametrize("rounds", HUGE_COUNTS)
+    @pytest.mark.parametrize("ratio", [false_negative_ratio, false_positive_ratio])
+    def test_rejects_rounds_beyond_the_index_range(self, ratio, rounds):
+        # 2**63 rounds returned a value, 10**400 raised a bare OverflowError
+        with pytest.raises(ParameterError, match=f"^rounds {BEYOND_INDEX_RANGE}"):
+            ratio(0.5, 0.99, rounds)
 
     @pytest.mark.parametrize("value", NOT_NUMBERS)
     def test_rejects_text_or_bool_probabilities(self, value):

@@ -339,6 +339,19 @@ class TestChannelValiditySweep:
                 assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-10)
 
 
+def test_channels_pass_an_empty_branch_through():
+    empty = JointState.empty()
+    p_click, click, noclick = qnd_povm(empty, 0.99, 0.5)
+    assert p_click == 0.0 and click.is_empty and noclick.is_empty
+    for out in (
+        absorption_channel(empty, 0.5, 0.5),
+        photon_loss_channel(empty, 0.5),
+        dephasing_channel(empty, 0.5),
+        flip_channel(empty, FlipKind.BOTH),
+    ):
+        assert out is empty
+
+
 def test_signed_permutation_matrix_conjugates_like_the_table(rng):
     state = random_joint_state(rng)
     perm, sign = FLIP_TABLES[FlipKind.BOTH]

@@ -112,6 +112,20 @@ class TestCliRun:
         for column, label in zip(summary[2:], BellLabel):
             assert column == f"{result.fidelity_per_target[label]:.6g}"
 
+    def test_flip_observable_key_runs_the_zz_variant(self, tmp_path, capsys):
+        text = "approach = A\np_abs = 0.5\nrounds = 10\np_loss = 0.066\n"
+        summaries = {}
+        for observable in ("XX", "ZZ"):
+            cfg = write_config(tmp_path, "run.cfg", text + f"flip_observable = {observable}\n")
+            assert cli.main(["run", "--config", cfg]) == 0
+            summaries[observable] = capsys.readouterr().out.strip().splitlines()[-1]
+        result = run_protocol(
+            ProtocolParams("A", p_abs=0.5, rounds=10, p_loss=0.066, flip_observable="ZZ")
+        )
+        expected = [result.total_success, *result.fidelity_per_target.values()]
+        assert summaries["ZZ"] == ",".join(["total", *(f"{value:.6g}" for value in expected)])
+        assert summaries["ZZ"] != summaries["XX"]
+
     def test_round_rows_are_cumulative(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.cfg", RUN_CFG)
         cli.main(["run", "--config", cfg])
@@ -303,6 +317,59 @@ class TestCliErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            pytest.param("run", "approach = B\np_abs = half\nrounds = 8\n", "p_abs", id="float"),
+            pytest.param("run", "approach = B\np_abs = 0.5\nrounds = 8.0\n", "rounds", id="int"),
+            pytest.param(
+                "sweep",
+                "approach = B\np_abs_axis = 0.5\np_loss_axis = 0\noptimize_l = maybe\n",
+                "optimize_l",
+                id="bool",
+            ),
+            pytest.param(
+                "sweep",
+                "approach = B\np_abs_axis = 0.5, x\np_loss_axis = 0\nrounds = 8\n",
+                "p_abs_axis",
+                id="list",
+            ),
+            pytest.param(
+                "sweep",
+                "approach = B\np_abs_axis = ,\np_loss_axis = 0\nrounds = 8\n",
+                "p_abs_axis",
+                id="empty_list",
+            ),
+            pytest.param("bounds", "bounds_pairs = , ,\n", "bounds_pairs", id="no_pairs"),
+            pytest.param("run", "p_abs = 0.5\nrounds = 8\n", "approach", id="no_approach"),
+            pytest.param(
+                "chain", "approach = B\np_abs = 0.5\nrounds = 8\nhops = 0\n", "hops", id="no_hops"
+            ),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_its_key(self, tmp_path, capsys, command, text, key):
+        cfg = write_config(tmp_path, "cmd.cfg", text)
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"key '{key}'" in captured.err
+        assert captured.out == ""
+
+    def test_trajectory_count_beyond_the_index_range_exits_2(self, tmp_path, capsys):
+        # raised a bare OverflowError (exit 1 with a traceback)
+        cfg = write_config(tmp_path, "run.cfg", RUN_CFG)
+        assert cli.main(["run", "--config", cfg, "--trajectories", str(10**400)]) == 2
+        captured = capsys.readouterr()
+        assert "n_trajectories must be an integer in [1, sys.maxsize]" in captured.err
+        assert captured.out == ""
+
+    def test_hop_count_beyond_the_index_range_exits_2(self, tmp_path, capsys):
+        # raised a bare OverflowError (exit 1 with a traceback)
+        text = f"approach = B\np_abs = 0.5\nrounds = 8\nhops = {10**400}\n"
+        assert cli.main(["chain", "--config", write_config(tmp_path, "chain.cfg", text)]) == 2
+        captured = capsys.readouterr()
+        assert "n_hops must be an integer in [1, sys.maxsize]" in captured.err
+        assert captured.out == ""
+
     def test_zero_trajectory_config_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "run.cfg", RUN_CFG + "trajectories = 0\n")
         assert cli.main(["run", "--config", cfg]) == 2
@@ -327,6 +394,14 @@ class TestCliBounds:
         high_row = lines[2].split(",")
         assert float(high_row[2]) == pytest.approx(0.998794, rel=1e-5)
         assert float(high_row[3]) == pytest.approx(0.111098, rel=1e-5)
+
+    def test_empty_pair_chunks_are_skipped(self, tmp_path, capsys):
+        outputs = []
+        for pairs in ("0:10, 0.9:4", "0:10, , 0.9:4,"):
+            cfg = write_config(tmp_path, "bounds.cfg", f"bounds_pairs = {pairs}\n")
+            assert cli.main(["bounds", "--config", cfg]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_requires_pairs_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bounds.cfg", "p_qnd = 0.99\n")
@@ -354,6 +429,15 @@ class TestCliSweepAndChain:
         assert cell[3] == "16"
         assert cell[4] == run_summary[1]
         assert cell[5:9] == run_summary[2:6]
+
+    def test_optimize_l_false_sweeps_the_given_rounds(self, tmp_path, capsys):
+        text = "approach = B\np_abs_axis = 0.5\np_loss_axis = 0.066\nrounds = 16\n"
+        outputs = []
+        for extra in ("", "optimize_l = false\n"):
+            cfg = write_config(tmp_path, "sweep.cfg", text + extra)
+            assert cli.main(["sweep", "--config", cfg]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_sweep_requires_rounds_or_optimize(self, tmp_path, capsys):
         cfg = write_config(

@@ -10,6 +10,7 @@ from nvswap import protocol
 from nvswap.analytics import OBJECTIVE_WEIGHTED, optimize_rounds
 from nvswap.channels import FlipKind
 from nvswap.protocol import (
+    HeraldRecord,
     HeraldType,
     ProtocolParams,
     _Scan,
@@ -30,6 +31,8 @@ from nvswap.states import (
 from nvswap.sweep import RelayChainSpec, relay_chain
 
 from util import (
+    BEYOND_INDEX_RANGE,
+    HUGE_COUNTS,
     NO_SHRINK,
     NOT_NUMBERS,
     assert_results_close,
@@ -104,6 +107,12 @@ class TestProtocolParams:
     def test_rejects_non_integral_or_bool_rounds(self, rounds):
         with pytest.raises(ParameterError):
             ProtocolParams("B", p_abs=0.5, rounds=rounds)
+
+    @pytest.mark.parametrize("rounds", HUGE_COUNTS)
+    def test_rejects_rounds_beyond_the_index_range(self, rounds):
+        # were accepted, and a run then raised a bare OverflowError
+        with pytest.raises(ParameterError, match=f"^rounds {BEYOND_INDEX_RANGE}"):
+            ProtocolParams("A", p_abs=0.5, rounds=rounds)
 
     @pytest.mark.parametrize(
         "field", ["p_abs", "r_a1", "p_qnd", "p_dark", "p_loss", "detector_eff"]
@@ -259,6 +268,12 @@ class TestNumberFields:
         numpy = ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=np.float64(2e-7), t2=1e-4)
         assert numpy.eta_per_cycle == plain.eta_per_cycle
         assert ProtocolParams("A", p_abs=0.5, rounds=4, tau_cycle=0, t2=1).eta_per_cycle == 1.0
+
+
+def test_herald_record_rejects_a_conditional_that_is_not_4x4():
+    conditional = np.eye(8) / 8.0
+    with pytest.raises(ParameterError, match="4x4"):
+        HeraldRecord(1, (0, 0), HeraldType.QND_CLICK, 0.5, conditional, BellLabel.PHI_MINUS, 0.1)
 
 
 class TestFinalParityMeasurement:
@@ -554,6 +569,19 @@ class TestCompiledEngine:
         rho[basis_index(BellLabel.PHI_PLUS, 2), basis_index(BellLabel.PHI_MINUS, 3)] = np.nan
         with pytest.raises(StateValidationError, match="does not conserve weight"):
             self.evolve(rho)
+
+    def test_parity_conditional_is_checked(self):
+        # the final state passes (smallest eigenvalue -5e-11), but its even
+        # parity outcome, of weight 1e-11, has a conditional with eigenvalue
+        # -5; the spec rejects it, and the scan once recorded it
+        params = ProtocolParams("A", p_abs=0.0, rounds=2, p_dark=0.0, p_loss=0.0, tau_cycle=0.0)
+        rho = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        for (i, j), value in {(0, 1): 1.0 - 1e-11, (0, 0): 6e-11, (1, 0): -5e-11}.items():
+            rho[basis_index(i, j), basis_index(i, j)] = value
+        with pytest.raises(StateValidationError, match="negative eigenvalue"):
+            final_parity_measurement(JointState(rho, 1.0), params.flip_observable)
+        with pytest.raises(StateValidationError, match="negative eigenvalue"):
+            protocol._Scan((params,), (build_schedule(params),), rho)
 
 
 def _blocks(support) -> np.ndarray:

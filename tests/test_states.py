@@ -11,6 +11,7 @@ from nvswap.states import (
     StateValidationError,
     basis_index,
     check_count,
+    check_density,
     check_probability,
     check_seed,
     make_initial_state,
@@ -224,6 +225,18 @@ def test_check_probability_rejects_an_unprintable_int():
 def test_check_count_rejects_an_unprintable_negative_int():
     with pytest.raises(ParameterError, match="^rounds must be .*, got a negative integer of"):
         check_count("rounds", -(10**5000))
+
+
+def test_check_density_passes_an_empty_stack():
+    check_density(np.zeros((0, 4, 4)))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_check_density_rejects_non_finite_entries(entry):
+    matrix = make_initial_state().matrix.copy()
+    matrix[0, 0] = entry
+    with pytest.raises(StateValidationError, match="non-finite entries"):
+        check_density(matrix)
 
 
 def test_check_seed_rejects_an_unprintable_negative_int():

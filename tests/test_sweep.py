@@ -10,7 +10,7 @@ from nvswap.sweep import (
     relay_chain,
     sweep,
 )
-from util import BELL_COLUMNS, NOT_NUMBERS
+from util import BELL_COLUMNS, BEYOND_INDEX_RANGE, HUGE_COUNTS, NOT_NUMBERS
 
 
 def ideal_b_params(rounds: int = 4) -> ProtocolParams:
@@ -137,6 +137,15 @@ class TestRelayChain:
     def test_uniform_rejects_non_count_hops(self, n_hops):
         with pytest.raises(ParameterError, match="n_hops"):
             RelayChainSpec.uniform(ideal_b_params(), n_hops)
+
+    @pytest.mark.parametrize("n_hops", HUGE_COUNTS)
+    def test_uniform_rejects_hops_beyond_the_index_range(self, n_hops):
+        with pytest.raises(ParameterError, match=f"^n_hops {BEYOND_INDEX_RANGE}"):
+            RelayChainSpec.uniform(ideal_b_params(), n_hops)
+
+    def test_rejects_a_hop_that_is_not_protocol_params(self):
+        with pytest.raises(ParameterError, match="ProtocolParams"):
+            RelayChainSpec(hops=(ideal_b_params(), "B"))
 
     def test_uniform_accepts_integral_hops(self):
         assert len(RelayChainSpec.uniform(ideal_b_params(), np.int64(2)).hops) == 2

@@ -7,6 +7,7 @@ from nvswap.channels import ALL_SPINS, DEPHASING_TABLES, FLIP_TABLES, FlipKind
 from nvswap.protocol import HeraldType, ProtocolParams, run_protocol
 from nvswap.states import DIM_TOTAL, BellLabel, ParameterError
 from nvswap.trajectories import _apply_table, _Frame, run_trajectories
+from util import BEYOND_INDEX_RANGE, HUGE_COUNTS
 
 
 def ideal_params(approach: str, rounds: int, **overrides) -> ProtocolParams:
@@ -49,6 +50,21 @@ class TestIdealSampling:
         )
         assert parity == 500 - result.herald_counts[HeraldType.QND_CLICK]
         assert result.parity_success == pytest.approx(parity / 500)
+
+    def test_a_target_with_one_herald_has_zero_se(self):
+        result = run_trajectories(ideal_params("B", 4), 1, seed=3)
+        (label,) = [label for label in BellLabel if result.success_per_target[label] > 0.0]
+        assert result.fidelity_per_target[label] == 1.0
+        assert result.fidelity_se_per_target[label] == 0.0
+        assert result.pooled_fidelity_se == 0.0
+
+    def test_undetected_parity_stage_heralds_nothing(self):
+        result = run_trajectories(ideal_params("A", 2, p_abs=0.3, detector_eff=0.0), 500, seed=7)
+        assert result.herald_counts[HeraldType.PARITY_EVEN] == 0
+        assert result.herald_counts[HeraldType.PARITY_ODD] == 0
+        assert result.parity_success == 0.0
+        assert result.failure_fraction + result.total_success == pytest.approx(1.0, abs=1e-12)
+        assert result.failure_fraction > 0.0
 
     def test_dark_clicks_sample_quarter_fidelity(self):
         params = ProtocolParams(
@@ -150,6 +166,11 @@ class TestValidation:
     @pytest.mark.parametrize("count", [2.5, 2.0, True, "10", -3])
     def test_rejects_non_integral_or_bool_count(self, count):
         with pytest.raises(ParameterError):
+            run_trajectories(ideal_params("B", 4), count, seed=1)
+
+    @pytest.mark.parametrize("count", HUGE_COUNTS)
+    def test_rejects_a_count_beyond_the_index_range(self, count):
+        with pytest.raises(ParameterError, match=f"^n_trajectories {BEYOND_INDEX_RANGE}"):
             run_trajectories(ideal_params("B", 4), count, seed=1)
 
     def test_accepts_integral_count(self):

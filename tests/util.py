@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import Phase
 
 from nvswap.channels import (
@@ -57,6 +59,15 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 # values float() would turn into a probability, which every check rejects
 NOT_NUMBERS = ("0.5", b"0.5", True, np.bool_(False))
+
+# counts beyond the index range, which raised a bare OverflowError where they
+# reached numpy or a sequence length (smaller large counts would allocate)
+HUGE_COUNTS = (
+    pytest.param(sys.maxsize + 1, id="maxsize+1"),
+    pytest.param(10**400, id="10**400"),
+)
+# the start of their rejection message, as a pattern
+BEYOND_INDEX_RANGE = r"must be an integer in \[1, sys\.maxsize\]"
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
