@@ -16,7 +16,9 @@ photon-lost weight.
 engine, in one pass over all of them: approach A's round counts are
 prefixes of one run, and approach B's are columns of one stack of states,
 so each candidate's score is read off per-candidate arrays and only the
-winner's result is built.
+winner's result is built.  It is the one-cell case of `_best_runs`, which
+scores the cells of a chunk that share one pass (`sweep.sweep`), all
+candidates of all cells at once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 # part of this module's API, stated next to the dephasing channel
 from .channels import dephasing_factor  # noqa: F401
-from .protocol import ProtocolParams, ProtocolResult, _Scan
+from .protocol import ProtocolParams, ProtocolResult, _Scan, _schedule
 from .states import ParameterError, check_count, check_nonnegative, check_number, check_probability
 
 OBJECTIVE_CONSTRAINED = "max_success_at_min_fidelity"
@@ -121,6 +123,52 @@ def _candidate_rounds(approach: str) -> tuple[int, ...]:
     return tuple(range(step, 65, step))
 
 
+def _candidate_schedules(cell: ProtocolParams) -> list:
+    """The flip schedule of each candidate round count of the cell's approach."""
+    return [
+        _schedule(cell.approach, cell.flip_observable, rounds)
+        for rounds in _candidate_rounds(cell.approach)
+    ]
+
+
+def _fidelity_floor(approach: str, min_fidelity: float | None) -> float:
+    """The checked min_fidelity, or the approach's default."""
+    if min_fidelity is None:
+        min_fidelity = DEFAULT_MIN_FIDELITY.get(approach, 0.0)
+    return check_probability("min_fidelity", min_fidelity)
+
+
+def _best_runs(scan: _Scan, objective: str, min_fidelity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's best run in a scan of its cells at every candidate round
+    count (`_candidate_schedules`), and every run's score.
+
+    The first highest feasible score wins, so ties go to the smaller round
+    count.  Raises NoFeasibleRoundsError if a cell has no feasible run.
+    """
+    if objective == OBJECTIVE_CONSTRAINED:
+        # the worst realized per-target fidelity; nan marks a target without heralds
+        heralded = ~np.isnan(scan.fidelity)
+        worst = np.where(heralded, scan.fidelity, np.inf).min(axis=1)
+        feasible = heralded.any(axis=1) & (worst >= min_fidelity)
+        scores = scan.total_success
+    else:
+        # the pooled fidelity (0 without heralds): the per-target totals added
+        # in label order, as in ProtocolResult.pooled_fidelity
+        total = np.cumsum(scan.success, axis=1)[:, -1]
+        pooled = np.where(total > 0.0, np.cumsum(scan.weighted, axis=1)[:, -1], 0.0)
+        feasible = np.ones(len(scan.total_success), dtype=bool)
+        scores = scan.total_success * (pooled / np.where(total > 0.0, total, 1.0))
+    feasible = feasible.reshape(len(scan.cells), -1)
+    if not feasible.any(axis=1).all():
+        scanned = _candidate_rounds(scan.cells[0].approach)
+        raise NoFeasibleRoundsError(
+            f"no round count in {scanned[0]}..{scanned[-1]} meets the"
+            f" {objective} objective (min_fidelity={min_fidelity})"
+        )
+    best = np.argmax(np.where(feasible, scores.reshape(feasible.shape), -np.inf), axis=1)
+    return best + feasible.shape[1] * np.arange(len(feasible)), scores
+
+
 @dataclass(frozen=True)
 class OptimizeOutcome:
     rounds: int
@@ -147,37 +195,22 @@ def optimize_rounds(
     maximizes total_success * pooled fidelity with no constraint.  Ties go
     to the smaller round count.  Extra keyword arguments are passed to
     ProtocolParams.  The candidates are evaluated in one engine pass (see
-    `protocol._Scan`), and the winner's result equals run_protocol's.
+    `protocol._Scan`), whose one cell is this p_abs; a sweep's cells share
+    such passes, and score the same.  The winner's result equals
+    run_protocol's.
     """
     check_objective(objective)
-    scan = _candidate_rounds(approach)
-    if min_fidelity is None:
-        min_fidelity = DEFAULT_MIN_FIDELITY.get(approach, 0.0)
-    min_fidelity = check_probability("min_fidelity", min_fidelity)
-
-    runs = [ProtocolParams(approach, p_abs=p_abs, rounds=r, **protocol_kwargs) for r in scan]
-    evaluated = _Scan(runs)
-    if objective == OBJECTIVE_CONSTRAINED:
-        # the worst realized per-target fidelity; nan marks a target without heralds
-        heralded = ~np.isnan(evaluated.fidelity)
-        worst = np.where(heralded, evaluated.fidelity, np.inf).min(axis=1)
-        feasible = heralded.any(axis=1) & (worst >= min_fidelity)
-        scores = evaluated.total_success
-    else:
-        feasible = np.ones(len(runs), dtype=bool)
-        scores = evaluated.total_success * np.nan_to_num(evaluated.pooled, nan=0.0)
-    if not feasible.any():
-        raise NoFeasibleRoundsError(
-            f"no round count in {scan[0]}..{scan[-1]} meets the"
-            f" {objective} objective (min_fidelity={min_fidelity})"
-        )
-    # the first highest score wins, so ties go to the smaller round count
-    best = int(np.flatnonzero(feasible)[np.argmax(scores[feasible])])
-    params = runs[best]
+    min_fidelity = _fidelity_floor(approach, min_fidelity)
+    rounds = _candidate_rounds(approach)[0]
+    cell = ProtocolParams(approach, p_abs=p_abs, rounds=rounds, **protocol_kwargs)
+    scan = _Scan([cell], _candidate_schedules(cell))
+    (best,), scores = _best_runs(scan, objective, min_fidelity)
+    result = scan.result(best)
+    params = result.params
     return OptimizeOutcome(
         rounds=params.rounds,
         l_z=params.l_z,
         l_x=params.l_x,
         score=float(scores[best]),
-        result=evaluated.result(best),
+        result=result,
     )

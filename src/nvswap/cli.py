@@ -33,7 +33,7 @@ from .config import (
     resolve_approach,
 )
 from .protocol import DEFAULT_P_DARK, DEFAULT_P_QND, HeraldType, run_protocol
-from .states import BellLabel, ParameterError, StateValidationError, check_seed
+from .states import BellLabel, ParameterError, StateValidationError, check_count, check_seed
 from .sweep import RelayChainSpec, relay_chain, sweep
 from .trajectories import run_trajectories
 
@@ -147,9 +147,7 @@ def cmd_sweep(options: dict[str, str]) -> str:
 
 
 def cmd_chain(options: dict[str, str]) -> str:
-    hops = get_int(options, "hops")
-    if hops < 1:
-        raise ConfigError(f"key 'hops' must be at least 1, got {hops}")
+    hops = check_count("key 'hops'", get_int(options, "hops"))
     params = build_protocol_params(options)
     chain = relay_chain(RelayChainSpec.uniform(params, hops))
     rows = list(zip(range(1, hops + 1), chain.success_prefix, chain.fidelity_prefix))

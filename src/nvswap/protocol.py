@@ -18,16 +18,20 @@ equal the initial weight to float precision.
 Engine.  Every channel is linear on the unnormalized density operator, which
 stays real and inside 104 of its 1024 entries; these split into 8 blocks
 that every channel preserves (`_Support` derives both from the weighted
-Kraus terms in `channels`).  A pass compiles its parameter set to a herald
-readout and one no-click round map per flip kind it uses, each map a stack
-of 8 zero-padded 16x16 blocks (`_compile`), and evolves a stack of states,
-one column per run and one matrix-vector product per column and block each
-round (`_Scan`).  Heralds, checks and aggregates are read off the stored
-stack in a few array operations, so `optimize_rounds` scores all its
-candidates from one pass and `run_protocol` is the pass with one column.
-Approach A's final parity measurement is read off each run's final state
-the same way.  The JointState channel functions stay the readable spec; the
-test suite runs a round loop on them as the oracle.
+Kraus terms in `channels`).  A pass takes cells, parameter sets that differ
+in p_abs and p_loss only, and compiles them to a herald readout and one
+no-click round map per flip kind used, each a stack of 8 zero-padded 16x16
+blocks per cell (`_compile`).  It evolves a stack of states, one column per
+cell and run, with one matrix-vector product per column and block each
+round; each round applies each flip kind's maps to its columns of every
+cell at once, the cell's map broadcast over them (`_Scan`).  Heralds,
+checks and aggregates are read off the states in a few array operations
+per window of rounds, so `run_protocol` is the pass with one column,
+`optimize_rounds` scores all its candidates from one pass of one cell, and
+`sweep` shares one pass among the cells of a chunk.  Approach A's final
+parity measurement is read off each run's final state the same way.  The
+JointState channel functions stay the readable spec; the test suite runs a
+round loop on them as the oracle.
 
 Herald sums have one order (see `ProtocolResult._herald_sums`, the one walk
 over a herald log), which `_Scan` keeps too, so every consumer agrees bit
@@ -43,6 +47,7 @@ raises StateValidationError before any result is built.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from enum import Enum
@@ -97,6 +102,11 @@ DEFAULT_P_QND = 0.99
 DEFAULT_P_DARK = 2e-4
 DEFAULT_TAU_CYCLE = 200e-9
 DEFAULT_T2 = 100e-6
+# the most states (block stacks) one scan holds at a time: it runs its rounds
+# in windows of at most this many, and its readouts and final states fill at
+# most as many again (`_chunk_size`); a 4-cell approach-B round-count scan holds
+# 16 of 64 rounds at once, keeping a sweep's peak memory within 5% of 1-cell scans
+_CHUNK_STATES = 17 * 64
 
 
 class HeraldType(Enum):
@@ -259,11 +269,15 @@ class ProtocolResult:
 
 def build_schedule(params: ProtocolParams) -> tuple[FlipKind, ...]:
     """Flip applied at the end of each round, per the approach's rule."""
-    if params.approach == "A":
-        kind = FlipKind.PHASE if params.flip_observable == "XX" else FlipKind.POLARISATION
-        return (kind,) * params.rounds
+    return _schedule(params.approach, params.flip_observable, params.rounds)
+
+
+def _schedule(approach: str, observable: str, rounds: int) -> tuple[FlipKind, ...]:
+    if approach == "A":
+        kind = FlipKind.PHASE if observable == "XX" else FlipKind.POLARISATION
+        return (kind,) * rounds
     # rounds = 2*l_x = 4*l_z: every second phase flip comes with a polarisation flip
-    quiet = (FlipKind.NONE,) * (params.l_z - 1)
+    quiet = (FlipKind.NONE,) * (rounds // 4 - 1)
     return (*quiet, FlipKind.PHASE, *quiet, FlipKind.BOTH) * 2
 
 
@@ -375,7 +389,7 @@ class _Support:
     map is a (blocks, width, width) stack of zero-padded blocks and a state a
     (blocks, width) stack with its weight folded in; entry i sits at
     `slot[i]` of a state's flat view, which every readout (`trace`, `a2`,
-    `herald_rows`, `pairs`) acts on.
+    `herald_rows`, `pairs`, `mirrors`) acts on.
     """
 
     def __init__(self) -> None:
@@ -401,10 +415,17 @@ class _Support:
         entry = np.cumsum(reached) - 1  # an entry's number, by flat index
         on = reached[ins]
         block = _components(len(rows), entry[outs[on]], entry[ins[on]])
-        # entry i is the position[i]-th of its block, in row-major order
-        onehot = block[:, None] == np.arange(block.max() + 1)
-        self.blocks, self.width = onehot.shape[1], int(onehot.sum(axis=0).max())
-        position = (np.cumsum(onehot, axis=0) - 1)[onehot]
+        self.blocks, self.width = int(block.max()) + 1, int(np.bincount(block).max())
+        # within a block: diagonal entries, then each transposed pair's lead (the
+        # entry in the lower block, or the upper one), then the partners in their
+        # leads' order, so that every pair sits at equal offsets of two slices
+        number = np.arange(len(rows))
+        partner = entry[cols * DIM_TOTAL + rows]
+        lead = (block < block[partner]) | ((block == block[partner]) & (number < partner))
+        rank = np.where(rows == cols, 0, 2 - lead) * len(rows) + np.minimum(number, partner)
+        order = np.lexsort((rank, block))
+        position = np.empty_like(number)
+        position[order] = number - np.searchsorted(block[order], block[order])
         self.slot = block * self.width + position
         # the channels' operators are module constants, so each is lifted
         # once and found by id (the entry keeps K alive, so no other array
@@ -416,9 +437,14 @@ class _Support:
             self._lifted[key] = (operators[key], where, values[kept])
         self.trace = np.zeros(self.blocks * self.width)
         self.trace[self.slot[rows == cols]] = 1.0
-        # the (upper, lower) slots of the symmetric off-diagonal pairs
-        upper = np.flatnonzero(rows < cols)
-        self.pairs = self.slot[upper], self.slot[entry[cols[upper] * DIM_TOTAL + rows[upper]]]
+        # the (lead, partner) slots of the transposed pairs, in lead order, and
+        # the same as runs of consecutive slots: (lead, partner, pair) slices
+        leads = np.flatnonzero(lead)
+        leads = leads[np.argsort(self.slot[leads])]
+        self.pairs = self.slot[leads], self.slot[partner[leads]]
+        cut = np.flatnonzero((np.diff(self.pairs, axis=1) != 1).any(axis=0)) + 1
+        runs = zip(*(np.split(slots, cut) for slots in (*self.pairs, np.arange(len(leads)))))
+        self.mirrors = [tuple(slice(int(x[0]), int(x[-1]) + 1) for x in run) for run in runs]
         pair_r, slot_r = np.divmod(rows, DIM_2P)
         pair_c, slot_c = np.divmod(cols, DIM_2P)
         # herald_rows: the partial trace over node2p (16 rows, the 4x4 block) and the trace
@@ -426,6 +452,8 @@ class _Support:
         self.herald_rows = np.zeros((DIM_PAIR13 * DIM_PAIR13 + 1, len(self.trace)))
         self.herald_rows[pair_r[same] * DIM_PAIR13 + pair_c[same], self.slot[same]] = 1.0
         self.herald_rows[-1] = self.trace
+        # the herald rows read only the flat view's first `span` entries
+        self.span = int(np.flatnonzero(self.herald_rows.any(axis=0))[-1]) + 1
         self.a2 = self.read(self.trace[None], self.lift(((1.0, A2_PROJECTOR),)))[0]
 
     def lift(self, terms: Terms) -> np.ndarray:
@@ -438,39 +466,47 @@ class _Support:
         return out.reshape(self.blocks, self.width, self.width)
 
     def read(self, rows: np.ndarray, maps: np.ndarray) -> np.ndarray:
-        """Readouts (rows on the flat view) after a block map, one product per block."""
-        stacked = rows.reshape(len(rows), self.blocks, self.width).transpose(1, 0, 2)
-        return np.matmul(stacked, maps).transpose(1, 0, 2).reshape(len(rows), -1)
+        """Readouts (rows on the flat view) after a block map, or after each
+        cell's of a stack of them, one product per block."""
+        stacked = rows.reshape(len(rows), self.blocks, self.width).swapaxes(0, 1)
+        out = np.matmul(stacked, maps).swapaxes(-3, -2)
+        return out.reshape(*out.shape[:-3], len(rows), -1)
 
 
 _support = functools.cache(_Support)
 
 
 def _compile(
-    params: ProtocolParams, codes: Iterable[int]
+    cells: Sequence[ProtocolParams], codes: Iterable[int]
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """One parameter set's rounds, compiled to real block maps on the support.
+    """The cells' rounds, compiled to real block maps on the support, with a
+    leading cell axis; the cells differ in p_abs and p_loss only.
 
     A round is absorption, the herald split, then on the no-click branch
     photon loss, dephasing of all three spins and the scheduled flip.
-    Returns the herald map, which reads the click branch's reduced pair-13
+    Returns the herald maps, which read the click branch's reduced pair-13
     block (16 rows), its weight and its dark-click weight (the click branch
     at p_qnd = 0) off the absorbed state's flat view, and the no-click round
-    map of each given flip-kind code (an index into _KINDS).  Both include
-    the absorption, so both act on the state a round starts from.
+    maps of each given flip-kind code (an index into _KINDS).  Both include
+    the absorption, so both act on the state a round starts from.  The
+    stages every cell shares are lifted once and broadcast over the cells.
     """
     support = _support()
     lift, read = support.lift, support.read
-    absorb, leak = absorption_terms(params.p_abs, params.r_a1)
-    absorbed = lift(leak) @ lift(absorb)
+    params = cells[0]  # every parameter but p_abs and p_loss
+    # the stages that differ between cells, lifted per cell
+    stages = zip(*(map(lift, absorption_terms(c.p_abs, c.r_a1)) for c in cells))
+    absorb, leak = map(np.array, stages)
+    absorbed = leak @ absorb
     click, noclick = qnd_terms(params.p_qnd, params.p_dark)
     dark, _ = qnd_terms(0.0, params.p_dark)
-    block = read(read(support.herald_rows, lift(click)), absorbed)
-    herald = np.vstack([block, read(read(support.trace[None], lift(dark)), absorbed)])
+    rows = [read(support.herald_rows, lift(click)), read(support.trace[None], lift(dark))]
+    herald = read(np.concatenate(rows), absorbed)
     base = lift(noclick) @ absorbed
     eta = params.eta_per_cycle
-    for terms in [loss_terms(params.p_loss)] + [dephasing_terms(eta, site) for site in ALL_SPINS]:
-        base = lift(terms) @ base
+    base = np.array([lift(loss_terms(c.p_loss)) for c in cells]) @ base
+    for site in ALL_SPINS:
+        base = lift(dephasing_terms(eta, site)) @ base
     maps = {}
     for code in codes:
         kind = _KINDS[code]
@@ -479,7 +515,9 @@ def _compile(
 
 
 def _advance(round_map: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """One round of a compiled block map on a (k, blocks, width) stack of states.
+    """One round of compiled block maps, (cells, blocks, width, width), on a
+    (k, cells, blocks, width) stack of states: each cell's map acts on its
+    states.
 
     A stacked matmul is one matrix-vector product per state and block, so a
     state's result does not depend on the other states in the stack.
@@ -508,98 +546,152 @@ def _index(cols: list[int]) -> slice | np.ndarray:
     return np.array(cols)
 
 
-class _Scan:
-    """One pass of the engine over runs that differ only in rounds, and each
-    run's outcome.
+def _columns(schedules: Sequence[tuple[FlipKind, ...]]) -> tuple[list, np.ndarray]:
+    """The state columns that evolve the schedules, longest first (so that a
+    round's columns tend to form slices), and each schedule's column: a
+    prefix of the longest stops on its column, any other gets its own."""
+    columns: list[tuple[FlipKind, ...]] = []
+    column = np.zeros(len(schedules), dtype=int)
+    for i in sorted(range(len(schedules)), key=lambda i: len(schedules[i]), reverse=True):
+        if not columns or columns[0][: len(schedules[i])] != schedules[i]:
+            column[i] = len(columns)
+            columns.append(schedules[i])
+    return columns, column
 
-    The longest schedule is the first column of a stack of states; a run
-    whose schedule is a prefix of it stops on that column, any other run gets
-    a column of its own.  So approach A's round counts share one column and
-    approach B's have one each.  The maps are compiled once, for the flip
-    kinds the schedules use, and the round loop applies, per flip kind
-    present, that kind's block map to its columns (`_advance`).  The stack
-    stores every state of every round in all its blocks, so that the
-    symmetry check compares each entry with its stored transpose.
-    Everything else is read off the stack's flat view at once: the herald
-    readout, the checks (see the module docstring), the branch floor (a
-    no-click weight at or below BRANCH_WEIGHT_FLOOR empties the column from
-    that round on, as in a round-by-round loop), the cumulative sums, and
-    per run the final state (as a 32x32 matrix), its parity outcomes
-    (approach A) and the arrays `optimize_rounds` scores.  `result(i)`
-    builds run i's ProtocolResult from those arrays.  `schedules` defaults
-    to each run's build_schedule, and `rho`, the initial density matrix, to
-    the protocol's.
+
+def _chunk_size(schedules: Sequence[tuple[FlipKind, ...]]) -> int:
+    """The most cells one _Scan of these schedules takes: their herald readouts
+    (the herald rows and the dark-click weight, per column and round) and
+    final states (as dense matrices) fill at most _CHUNK_STATES block stacks."""
+    support, (columns, _) = _support(), _columns(schedules)
+    readouts = len(columns[0]) * len(columns) * (len(support.herald_rows) + 1)
+    per_cell = readouts + len(schedules) * DIM_TOTAL**2
+    return max(1, _CHUNK_STATES * support.blocks * support.width // per_cell)
+
+
+class _Scan:
+    """One pass of the engine over a chunk of cells, each on every given
+    schedule, and each run's outcome.
+
+    The cells are ProtocolParams that differ in p_abs and p_loss only; run i
+    is cell i // len(schedules) on schedule i % len(schedules), at its round
+    count (a cell's own `rounds` is not used).  Every cell has the same plan,
+    built once: a prefix of the longest schedule stops on its column, any
+    other schedule gets its own (`_columns`), so approach A's round counts
+    share one column and approach B's have one each.  The maps are compiled
+    once, with a cell axis, for the flip kinds the schedules use (`_compile`),
+    and each round applies, per flip kind present, that kind's maps to its
+    columns of every cell (`_advance`).  The rounds run in windows of at
+    most _CHUNK_STATES states; each window's states are read off at once:
+    weights, the branch floor (a no-click weight at or below
+    BRANCH_WEIGHT_FLOOR empties the column from that round on, as in a
+    round-by-round loop), the herald readout, each entry's difference from
+    its transpose, and the final states.  Then come the checks (see the
+    module docstring), the cumulative sums, and per run its final state (as
+    a 32x32 matrix), its parity outcomes (approach A) and the arrays
+    `analytics` scores.  `result(i)` builds run i's ProtocolResult from
+    those arrays.  `rho`, the initial density matrix, defaults to the
+    protocol's.
     """
 
     def __init__(
         self,
-        runs: Sequence[ProtocolParams],
-        schedules: Sequence[tuple[FlipKind, ...]] | None = None,
+        cells: Sequence[ProtocolParams],
+        schedules: Sequence[tuple[FlipKind, ...]],
         rho: np.ndarray | None = None,
     ) -> None:
         support = _support()
-        self.runs = tuple(runs)
-        params = self.runs[0]
-        if schedules is None:
-            schedules = [build_schedule(run) for run in runs]
+        self.cells, self.schedules = tuple(cells), tuple(schedules)
+        params, k = self.cells[0], len(self.cells)
         if rho is None:
             rho = support.initial
-        # longest first, so that a round's columns tend to form slices
-        columns: list[tuple[FlipKind, ...]] = []
-        self.column = np.zeros(len(runs), dtype=int)
-        for i in sorted(range(len(runs)), key=lambda i: len(schedules[i]), reverse=True):
-            if not columns or columns[0][: len(schedules[i])] != schedules[i]:
-                self.column[i] = len(columns)
-                columns.append(schedules[i])
-        self.stop = np.array([len(schedule) for schedule in schedules])
-        n, m = len(columns[0]), len(columns)
-        live = np.arange(1, n + 1)[:, None] <= np.array([len(s) for s in columns])
+        columns, column = _columns(self.schedules)
+        lengths = [len(schedule) for schedule in columns]
+        n, m = lengths[0], len(columns)
+        # the flat view's column of cell c on schedule column j is j * k + c
+        self.column = (column * k + np.arange(k)[:, None]).ravel()
+        self.stop = np.array([len(schedule) for schedule in self.schedules] * k)
+        live = np.arange(1, n + 1)[:, None] <= np.array(lengths).repeat(k)
 
-        # the round loop: states[r] is the stack after round r; each round
-        # groups its columns by flip kind (codes index _KINDS; past a column's
-        # end they stay 0, FlipKind.NONE)
+        # the plan: per round, its columns grouped by flip kind (codes index
+        # _KINDS; past a column's end they stay 0, FlipKind.NONE)
         codes = np.zeros((n, m), dtype=int)
         groups: list[list[list[int]]] = [[[] for _ in _KINDS] for _ in range(n)]
         for c, schedule in enumerate(columns):
-            column = [_KINDS.index(kind) for kind in schedule]
-            codes[: len(column), c] = column
-            for r, code in enumerate(column):
+            kinds = [_KINDS.index(kind) for kind in schedule]
+            codes[: len(kinds), c] = kinds
+            for r, code in enumerate(kinds):
                 groups[r][code].append(c)
+        # the rounds run in windows of `size` rounds, each a list of steps: the
+        # round's row in the window, a flip kind and its columns
+        size = min(n, max(1, _CHUNK_STATES // (m * k) - 1))
         plan = [
-            (r, code, _index(cols))
-            for r, group in enumerate(groups, start=1)
-            for code, cols in enumerate(group)
-            if cols
+            [
+                (r - start, code, _index(cols))
+                for r in range(start + 1, min(n, start + size) + 1)
+                for code, cols in enumerate(groups[r - 1])
+                if cols
+            ]
+            for start in range(0, n, size)
         ]
-        herald, maps = _compile(params, {code for _, code, _ in plan})
-        stack = np.zeros((n + 1, m, support.blocks, support.width))
-        # the flat view, which every readout below acts on
-        states = stack.reshape(n + 1, m, -1)
-        states[0][:, support.slot] = rho[support.rows, support.cols]
-        for r, code, cols in plan:
-            stack[r, cols] = _advance(maps[code], stack[r - 1, cols])
+        herald, maps = _compile(self.cells, {code for steps in plan for _, code, _ in steps})
+        herald = herald[..., : support.span]
         # flips[r]: (phase, polarisation) flips applied in the first r rounds
         flips = np.zeros((n + 1, m, 2), dtype=int)
         flips[1:] = np.cumsum(_FLIP_COUNTS[codes], axis=0)
+        flips = flips.repeat(k, axis=1)
 
-        # weights, one dot product per state; the branch floor
-        weights = np.matmul(states[:, :, None, :], support.trace[:, None])[:, :, 0, 0]
-        noclick = weights[1:].copy()
-        floored = live & (noclick <= BRANCH_WEIGHT_FLOOR)
-        for c in np.flatnonzero(floored.any(axis=0)):
-            r = int(floored[:, c].argmax()) + 1
-            states[r:, c] = weights[r:, c] = noclick[r:, c] = 0.0
+        # window[i] holds the states after a window's i-th round, window[0]
+        # those it starts from; read off per window: weights, one dot product
+        # per state, the floor, the herald readout of each round's input state
+        # (in rounds lengths[j + 1] + 1 .. lengths[j] the first j + 1 columns
+        # live), each state's largest asymmetry (`_Support.mirrors`) and finals
+        window = np.zeros((size + 1, m, k, support.blocks, support.width))
+        flat = window.reshape(size + 1, m * k, -1)
+        flat[0][:, support.slot] = rho[support.rows, support.cols]
+        inputs = window.reshape(size + 1, m, k, -1)[..., : support.span, None]
+        weights, noclick, skew = np.zeros((n + 1, m * k)), *np.zeros((2, n, m * k))
+        heralds = np.zeros((n, m, k, herald.shape[-2]))
+        finals = np.zeros((len(self.stop), support.blocks * support.width))
+        ending = (self.stop - 1) // size  # the window each run ends in
+        for start, steps in zip(range(0, n, size), plan):
+            end = min(n, start + size)
+            for row, code, cols in steps:
+                window[row, cols] = _advance(maps[code], window[row - 1, cols])
+            # the columns live in the window's first round, a prefix of the flat view
+            w = k * sum(length > start for length in lengths)
+            states = flat[: end - start + 1, :w]
+            rows = states[1:]
+            # row 0 again: the dot product of the window before
+            weights[start : end + 1, :w] = np.matmul(states[:, :, None], support.trace[:, None])[
+                ..., 0, 0
+            ]
+            noclick[start:end, :w] = weights[start + 1 : end + 1, :w]
+            floored = live[start:end, :w] & (noclick[start:end, :w] <= BRANCH_WEIGHT_FLOOR)
+            for c in np.flatnonzero(floored.any(axis=0)):
+                r = int(floored[:, c].argmax())
+                rows[r:, c] = weights[start + r + 1 :, c] = noclick[start + r + 1 :, c] = 0.0
+            for j, (high, low) in enumerate(zip(lengths, lengths[1:] + [0])):
+                low, high = max(low, start), min(high, end)
+                if low < high:
+                    heralds[low:high, : j + 1] = np.matmul(
+                        herald, inputs[low - start : high - start, : j + 1]
+                    )[..., 0]
+            diff = np.empty((len(support.pairs[0]), end - start, w))
+            for lead, partner, pair in support.mirrors:
+                np.subtract(rows[..., lead], rows[..., partner], out=diff[pair].transpose(1, 2, 0))
+            skew[start:end, :w] = np.abs(diff, out=diff).max(axis=0)
+            i = np.flatnonzero(ending == start // size)
+            finals[i] = states[self.stop[i] - start, self.column[i]]
+            window[0] = window[end - start]
+        del window, flat, states, rows, inputs, diff  # before the readouts below
         before = weights[:-1]
 
-        # herald readout of each round's input state, then the round checks
-        heralds = np.zeros((n, m, len(herald)))
-        heralds[live] = np.matmul(herald, states[:-1][live][:, :, None])[..., 0]
+        # the round checks
+        heralds = heralds.reshape(n, m * k, -1)
         click, dark = heralds[..., -2], heralds[..., -1]
         broken = live & ~(np.abs(click + noclick - before) <= WEIGHT_ATOL)
-        upper, lower = support.pairs
-        skew = states[1:, :, upper]
-        skew -= states[1:, :, lower]
-        skew = np.abs(skew, out=skew).max(axis=-1) / np.maximum(noclick, BRANCH_WEIGHT_FLOOR)
+        skew /= np.maximum(noclick, BRANCH_WEIGHT_FLOOR)
         skewed = live & (noclick > BRANCH_WEIGHT_FLOOR) & (skew > HERMITICITY_ATOL)
         if (broken | skewed).any():
             r, c = np.argwhere(broken | skewed)[0]
@@ -615,15 +707,16 @@ class _Scan:
 
         # heralds: clicks above the floor
         recorded = live & (click > BRANCH_WEIGHT_FLOOR)
-        blocks = heralds[..., :-2].reshape(n, m, DIM_PAIR13, DIM_PAIR13)
+        blocks = heralds[..., :-2].reshape(n, m * k, DIM_PAIR13, DIM_PAIR13)
         targets = _TARGETS[flips[:-1, :, 0] % 2, flips[:-1, :, 1] % 2]
-        # block[t, t] of the target t sits at 5t in the flattened 4x4 block
-        target_entry = np.take_along_axis(heralds, (DIM_PAIR13 + 1) * targets[..., None], -1)
-        fidelity = target_entry[..., 0] / np.where(recorded, click, 1.0)
+        per_target = targets[..., None] == np.arange(DIM_PAIR13)
+        # each block's target entry, block[t, t], off the flattened blocks' diagonals
+        diagonal = heralds[..., : DIM_PAIR13 * DIM_PAIR13 : DIM_PAIR13 + 1]
+        target_entry = np.where(per_target, diagonal, 0.0).sum(axis=-1)
+        fidelity = target_entry / np.where(recorded, click, 1.0)
         clicks = np.where(recorded, click, 0.0)
         weighted = np.where(recorded, clicks * fidelity, 0.0)
         false_weights = np.where(recorded, dark, 0.0)
-        per_target = targets[..., None] == np.arange(DIM_PAIR13)
         self._rounds = (blocks, clicks, false_weights, targets, recorded, flips)
         self._cumulative = np.cumsum(clicks, axis=0)
 
@@ -632,12 +725,11 @@ class _Scan:
         success = np.cumsum(np.where(per_target, clicks[..., None], 0.0), axis=0)[at]
         weighted_sum = np.cumsum(np.where(per_target, weighted[..., None], 0.0), axis=0)[at]
         self._false = np.cumsum(false_weights, axis=0)[at]
-        finals = states[self.stop, self.column]
         weight = weights[self.stop, self.column]
         # the floor emptied these runs: final state, weight, A2 weight and
         # parity weights are exactly 0
         empty = weight <= BRANCH_WEIGHT_FLOOR
-        matrices = np.zeros((len(runs), DIM_TOTAL, DIM_TOTAL))
+        matrices = np.zeros((len(self.stop), DIM_TOTAL, DIM_TOTAL))
         matrices[:, support.rows, support.cols] = (
             finals[:, support.slot] / np.where(empty, 1.0, weight)[:, None]
         )
@@ -647,7 +739,7 @@ class _Scan:
         # approach A's final parity outcomes, even then odd, read off each run's final state
         # like a click: the weight (0 at or below the floor, and for B) and the conditional
         self._parity_targets = [target for _, target in PARITY_TABLE[params.flip_observable]]
-        sectors = np.zeros((len(self._parity_targets), len(runs), len(support.herald_rows)))
+        sectors = np.zeros((len(self._parity_targets), len(self.stop), len(support.herald_rows)))
         if params.approach == "A":
             terms = parity_terms(params.flip_observable, params.detector_eff)
             readout = np.stack([support.read(support.herald_rows, support.lift(t)) for t in terms])
@@ -660,33 +752,29 @@ class _Scan:
         clicked = blocks[recorded] / click[recorded][:, None, None]
         check_density(np.concatenate([clicked, self._parity_conditionals[found]]))
         check_density(matrices[~empty])
-        # added after the clicks, even then odd, in the order of the herald log
         parity = self._parity_weights.sum(axis=0)
-        for target, heralded, conditional in zip(
-            self._parity_targets, self._parity_weights, self._parity_conditionals
-        ):
-            success[:, target] += heralded
-            weighted_sum[:, target] += heralded * conditional[:, target, target]
         if params.approach == "A":
-            self.failure, self.residual = weight - parity, np.zeros(len(runs))
+            # added after the clicks, even then odd, in the order of the herald log
+            for target, heralded, conditional in zip(
+                self._parity_targets, self._parity_weights, self._parity_conditionals
+            ):
+                success[:, target] += heralded
+                weighted_sum[:, target] += heralded * conditional[:, target, target]
+            self.failure, self.residual = weight - parity, np.zeros(len(self.stop))
         else:
-            self.failure, self.residual = np.zeros(len(runs)), weight
+            self.failure, self.residual = np.zeros(len(self.stop)), weight
         self.parity_success = parity
         self.total_success = self._cumulative[at] + parity
-        self.success = success
-        # nan marks a target without heralds, and a run without any
+        # per run and target: heralded weight, weight times fidelity, and
+        # fidelity (nan marks a target without heralds)
+        self.success, self.weighted = success, weighted_sum
         self.fidelity = np.where(success > 0.0, weighted_sum, np.nan) / np.where(
             success > 0.0, success, 1.0
         )
-        # the per-target totals added in label order, as in pooled_fidelity
-        total = np.cumsum(success, axis=1)[:, -1]
-        self.pooled = np.where(
-            total > 0.0, np.cumsum(weighted_sum, axis=1)[:, -1], np.nan
-        ) / np.where(total > 0.0, total, 1.0)
 
     def result(self, i: int) -> ProtocolResult:
         """The ProtocolResult of run i."""
-        run, stop, c = self.runs[i], int(self.stop[i]), int(self.column[i])
+        stop, c = int(self.stop[i]), int(self.column[i])
         blocks, clicks, false_weights, targets, recorded, flips = self._rounds
         # the clicks, then the parity outcomes, even then odd
         rounds = np.flatnonzero(recorded[:stop, c])
@@ -704,9 +792,8 @@ class _Scan:
             )
         )
         success = self.success[i].tolist()
-        fidelity_i = self.fidelity[i].tolist()
         return ProtocolResult(
-            params=run,
+            params=self.params(i),
             cumulative_success=tuple(self._cumulative[:stop, c].tolist()),
             herald_log=tuple(records),
             total_success=float(self.total_success[i]),
@@ -715,8 +802,16 @@ class _Scan:
             residual_weight=float(self.residual[i]),
             false_negative_weight=float(self.false_negative[i]),
             false_positive_weight=float(self._false[i]),
-            fidelity_per_target={
-                label: fidelity_i[label] if success[label] > 0.0 else None for label in BellLabel
-            },
+            fidelity_per_target=self.fidelity_per_target(i),
             success_per_target={label: success[label] for label in BellLabel},
         )
+
+    def params(self, i: int) -> ProtocolParams:
+        """Run i's parameters: its cell's, at its round count."""
+        cell, rounds = self.cells[i // len(self.schedules)], int(self.stop[i])
+        return cell if cell.rounds == rounds else dataclasses.replace(cell, rounds=rounds)
+
+    def fidelity_per_target(self, i: int) -> dict[BellLabel, float | None]:
+        """Run i's heralded fidelity per target, None for a target without heralds."""
+        fidelity, success = self.fidelity[i].tolist(), self.success[i].tolist()
+        return {label: fidelity[label] if success[label] > 0.0 else None for label in BellLabel}

@@ -119,7 +119,7 @@ def check_number(name: str, value: float, kind: str, low: float, high: float) ->
     """A number in [low, high], returned as a float.  Text, bools, None, other
     non-numbers and nan are rejected, not converted: float() takes "0.5" and True.
     The type test is an isinstance tuple, as the numbers.Real check costs 0.66 us
-    a call and an approach-A scan builds 32 ProtocolParams."""
+    a call and every ProtocolParams makes eight of them."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         try:
             if low <= (value := float(value)) <= high:

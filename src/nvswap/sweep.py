@@ -1,7 +1,10 @@
 """Two-dimensional parameter scans and serial relay-chain composition.
 
-Grid cells are fully independent protocol runs (pure, no shared state), so a
-sweep's output does not depend on evaluation order.  Chain fidelities use an
+The cells of a grid are evolved in chunks, each chunk in one engine pass
+(`protocol._Scan`) whose columns are its cells times their round counts.
+Each column is still its own run (one matrix-vector product per column,
+block and round), so a cell's outputs equal a separate run's bit for bit
+and do not depend on the chunking or the order.  Chain fidelities use an
 artifact composition rule: each hop's heralded ensemble is flattened to its
 Bell-diagonal weights in the target frame and hops are combined by the
 XOR convolution that entanglement swapping induces on Bell labels.  That rule
@@ -16,8 +19,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analytics import OBJECTIVE_CONSTRAINED, check_objective, optimize_rounds
-from .protocol import ProtocolParams, ProtocolResult, run_protocol
+from .analytics import (
+    OBJECTIVE_CONSTRAINED,
+    _best_runs,
+    _candidate_rounds,
+    _candidate_schedules,
+    _fidelity_floor,
+    check_objective,
+)
+from .protocol import (
+    ProtocolParams,
+    ProtocolResult,
+    _chunk_size,
+    _Scan,
+    build_schedule,
+    run_protocol,
+)
 from .states import BellLabel, ParameterError, check_count, check_probability
 
 
@@ -77,56 +94,55 @@ def sweep(
 
     With optimize_l the round count is re-optimized per cell (rounds must
     then be omitted); otherwise every cell runs the fixed `rounds`.
-    `objective` and `min_fidelity` are checked either way.
+    `objective` and `min_fidelity` are checked either way.  Each cell equals
+    optimize_rounds (or run_protocol) at its p_abs and p_loss.  Cells share
+    engine passes, in chunks of at most `protocol._chunk_size` cells.
     """
     abs_axis = _validate_axis("p_abs_axis", p_abs_axis)
     loss_axis = _validate_axis("p_loss_axis", p_loss_axis)
     check_objective(objective)
-    if min_fidelity is not None:
-        check_probability("min_fidelity", min_fidelity)
+    min_fidelity = _fidelity_floor(approach, min_fidelity)
     if optimize_l:
         if rounds is not None:
             raise ParameterError("rounds must be omitted when optimize_l is set")
+        rounds = _candidate_rounds(approach)[0]
     elif rounds is None:
         raise ParameterError("rounds is required when optimize_l is not set")
 
-    rows = []
-    for p_abs in abs_axis:
-        row = []
-        for p_loss in loss_axis:
-            if optimize_l:
-                outcome = optimize_rounds(
-                    approach,
-                    p_abs,
-                    objective=objective,
-                    min_fidelity=min_fidelity,
-                    p_loss=p_loss,
-                    **protocol_kwargs,
-                )
-                params = outcome.result.params
-                result = outcome.result
-            else:
-                params = ProtocolParams(
-                    approach, p_abs=p_abs, rounds=rounds, p_loss=p_loss, **protocol_kwargs
-                )
-                result = run_protocol(params)
-            row.append(
-                SweepCell(
-                    p_abs=p_abs,
-                    p_loss=p_loss,
-                    rounds_used=params.rounds,
-                    l_z=params.l_z,
-                    l_x=params.l_x,
-                    total_success=result.total_success,
-                    fidelity_per_target=dict(result.fidelity_per_target),
-                )
-            )
-        rows.append(tuple(row))
+    cells = [
+        ProtocolParams(approach, p_abs=p_abs, rounds=rounds, p_loss=p_loss, **protocol_kwargs)
+        for p_abs in abs_axis
+        for p_loss in loss_axis
+    ]
+    schedules = _candidate_schedules(cells[0]) if optimize_l else [build_schedule(cells[0])]
+    size = _chunk_size(schedules)
+    found: list[SweepCell] = []
+    for start in range(0, len(cells), size):
+        scan = _Scan(cells[start : start + size], schedules)
+        best = range(len(scan.cells))
+        if optimize_l:
+            best, _ = _best_runs(scan, objective, min_fidelity)
+        found += [_sweep_cell(scan, i) for i in best]
+        del scan  # before the next chunk's pass
+    rows = [tuple(found[i : i + len(loss_axis)]) for i in range(0, len(found), len(loss_axis))]
     return SweepGrid(
         approach=approach,
         p_abs_axis=abs_axis,
         p_loss_axis=loss_axis,
         cells=tuple(rows),
+    )
+
+
+def _sweep_cell(scan: _Scan, i: int) -> SweepCell:
+    params = scan.params(i)
+    return SweepCell(
+        p_abs=params.p_abs,
+        p_loss=params.p_loss,
+        rounds_used=params.rounds,
+        l_z=params.l_z,
+        l_x=params.l_x,
+        total_success=float(scan.total_success[i]),
+        fidelity_per_target=scan.fidelity_per_target(i),
     )
 
 

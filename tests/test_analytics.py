@@ -23,8 +23,9 @@ from nvswap.analytics import (
     probability_to_db,
     spectral_width,
 )
-from nvswap.protocol import ProtocolParams, _Scan, run_protocol
+from nvswap.protocol import ProtocolParams, _Scan, build_schedule, run_protocol
 from nvswap.states import ParameterError
+from nvswap.sweep import sweep
 
 from util import BEYOND_INDEX_RANGE, HUGE_COUNTS, NO_SHRINK, NOT_NUMBERS, assert_results_identical
 
@@ -310,7 +311,7 @@ class TestOptimizeRounds:
         # to the results of separate run_protocol calls
         kwargs = dict(p_loss=0.05, detector_eff=0.9, flip_observable="ZZ")
         runs = [ProtocolParams(approach, p_abs=0.6, rounds=r, **kwargs) for r in candidates]
-        scan = _Scan(runs)
+        scan = _Scan(runs[:1], [build_schedule(run) for run in runs])
         for i, run in enumerate(runs):
             assert_results_identical(scan.result(i), run_protocol(run))
 
@@ -366,6 +367,7 @@ class TestOptimizeRounds:
             ("A", [10, 4, 22], 22),
             ("B", None, sum(range(4, 65, 4))),
             ("B", [8, 4], 12),
+            ("B", "sweep", 4 * sum(range(4, 65, 4))),
         ],
     )
     def test_absorption_rounds_evolved(self, monkeypatch, approach, candidates, evolved):
@@ -375,14 +377,18 @@ class TestOptimizeRounds:
         advance = nvswap.protocol._advance
 
         def counting(round_map, states):
-            column_rounds.append(len(states))
+            column_rounds.append(states[..., 0, 0].size)
             return advance(round_map, states)
 
         monkeypatch.setattr(nvswap.protocol, "_advance", counting)
-        if candidates is None:
+        if candidates == "sweep":
+            # a 2 x 2 optimised grid: one chunk, every cell at every candidate
+            sweep([0.5, 0.8], [0.02, 0.08], approach, optimize_l=True, objective=OBJECTIVE_WEIGHTED)
+        elif candidates is None:
             optimize_rounds(approach, 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED)
         else:
-            _Scan([ProtocolParams(approach, p_abs=0.5, rounds=r, p_loss=0.066) for r in candidates])
+            runs = [ProtocolParams(approach, p_abs=0.5, rounds=r, p_loss=0.066) for r in candidates]
+            _Scan(runs[:1], [build_schedule(run) for run in runs])
         assert sum(column_rounds) == evolved
 
     @pytest.mark.parametrize("min_fidelity", NOT_NUMBERS)

@@ -367,7 +367,7 @@ class TestCliErrors:
         text = f"approach = B\np_abs = 0.5\nrounds = 8\nhops = {10**400}\n"
         assert cli.main(["chain", "--config", write_config(tmp_path, "chain.cfg", text)]) == 2
         captured = capsys.readouterr()
-        assert "n_hops must be an integer in [1, sys.maxsize]" in captured.err
+        assert "key 'hops' must be an integer in [1, sys.maxsize]" in captured.err
         assert captured.out == ""
 
     def test_zero_trajectory_config_key_exits_2(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from nvswap.states import (
     basis_index,
     make_initial_state,
 )
-from nvswap.sweep import RelayChainSpec, relay_chain
+from nvswap.sweep import RelayChainSpec, relay_chain, sweep
 
 from util import (
     BEYOND_INDEX_RANGE,
@@ -463,7 +463,7 @@ class TestPrefixPass:
             ProtocolParams("A", rounds=rounds, flip_observable=observable, **kwargs)
             for rounds in EVEN_ROUNDS
         ]
-        scan = _Scan(runs)
+        scan = _Scan(runs[:1], [build_schedule(run) for run in runs])
         prefixes = [scan.result(i) for i in range(len(runs))]
         assert [result.params for result in prefixes] == runs
         for params, prefix in zip(runs, prefixes):
@@ -471,7 +471,7 @@ class TestPrefixPass:
 
     def test_single_run_pass_is_run_protocol(self):
         params = ProtocolParams("B", p_abs=0.4, rounds=8, p_loss=0.05, detector_eff=0.8)
-        only = _Scan([params]).result(0)
+        only = _Scan([params], [build_schedule(params)]).result(0)
         assert only.params is params
         assert_results_identical(only, run_protocol(params))
 
@@ -584,6 +584,34 @@ class TestCompiledEngine:
             protocol._Scan((params,), (build_schedule(params),), rho)
 
 
+class TestWindows:
+    """A scan holds its rounds in windows of at most _CHUNK_STATES states;
+    one round per window gives the same bits as one window for all."""
+
+    @staticmethod
+    def scans(monkeypatch, params, rho=None):
+        schedules = [build_schedule(params)]
+        whole = protocol._Scan((params,), schedules, rho).result(0)
+        monkeypatch.setattr(protocol, "_CHUNK_STATES", 2)
+        return whole, protocol._Scan((params,), schedules, rho).result(0)
+
+    @pytest.mark.parametrize("approach,rounds", [("A", 10), ("B", 16)])
+    def test_one_round_windows_equal_one_window(self, monkeypatch, approach, rounds):
+        params = ProtocolParams(approach, p_abs=0.6, rounds=rounds, p_loss=0.05, p_dark=1e-3)
+        assert_results_identical(*self.scans(monkeypatch, params))
+
+    def test_a_branch_floored_in_one_window_stays_empty_in_the_next(self, monkeypatch):
+        # the state of test_floored_branch_stays_empty: round 1 empties it
+        params = ProtocolParams("B", p_abs=0.5, rounds=8, p_loss=0.05, p_dark=0.0)
+        rho = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        absorbable = basis_index(BellLabel.PHI_MINUS, 3)
+        other = basis_index(BellLabel.PHI_PLUS, 2)
+        rho[absorbable, absorbable], rho[other, other] = 0.5, -0.5
+        whole, windowed = self.scans(monkeypatch, params, rho)
+        assert_results_identical(whole, windowed)
+        assert [record.round for record in windowed.herald_log] == [1]
+
+
 def _blocks(support) -> np.ndarray:
     """The block of each support entry."""
     return support.slot // support.width
@@ -673,7 +701,8 @@ class TestCompiledMaps:
         )
         support = protocol._support()
         code = protocol._KINDS.index(kind)
-        herald, maps = protocol._compile(params, [code])
+        (herald,), maps = protocol._compile([params], [code])
+        maps = {code: maps[code][0]}  # the one cell's maps
         spec_herald, spec_round = spec_maps(params, kind, support.rows, support.cols)
         assert np.abs(scatter_blocks(support, maps[code]) - spec_round).max() <= 1e-14
         padding = np.ones(herald.shape[1], dtype=bool)
@@ -717,3 +746,13 @@ class TestOneBuildPerScan:
     def test_a_xx_scan_builds_the_phase_map_only(self, builds):
         optimize_rounds("A", 0.5, p_loss=0.066, objective=OBJECTIVE_WEIGHTED)
         assert builds == [[protocol._KINDS.index(FlipKind.PHASE)]]
+
+    def test_sweep_builds_once_per_chunk_for_the_kinds_it_uses(self, builds):
+        # 3 x 3 optimised B cells are three chunks of up to 4 cells; B's
+        # schedules use no polarisation flip on its own
+        sweep([0.4, 0.6, 0.8], [0.0, 0.05, 0.1], "B", optimize_l=True)
+        used = sorted(protocol._KINDS.index(k) for k in FlipKind if k is not FlipKind.POLARISATION)
+        assert builds == [used] * 3
+        builds.clear()
+        sweep([0.4, 0.6, 0.8], [0.0, 0.05, 0.1], "A", rounds=8, flip_observable="ZZ")
+        assert builds == [[protocol._KINDS.index(FlipKind.POLARISATION)]]

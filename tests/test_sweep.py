@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from nvswap.analytics import optimize_rounds
-from nvswap.protocol import ProtocolParams, run_protocol
+from nvswap import protocol
+from nvswap.analytics import (
+    OBJECTIVE_CONSTRAINED,
+    OBJECTIVE_WEIGHTED,
+    NoFeasibleRoundsError,
+    _candidate_schedules,
+    optimize_rounds,
+)
+from nvswap.protocol import ProtocolParams, build_schedule, run_protocol
 from nvswap.states import ParameterError
 from nvswap.sweep import (
     RelayChainSpec,
@@ -251,3 +258,107 @@ class TestSweep:
         grid = sweep([0.5, 0.9], [0.066], "B", optimize_l=True)
         used = grid.rounds_cross_section(0)
         assert used[0] != used[1]
+
+
+# every approach and observable has a feasible round count on this grid; 12
+# cells are three chunks of an optimised sweep
+CHUNK_P_ABS = (0.45, 0.6, 0.75, 0.9)
+CHUNK_P_LOSS = (0.0, 0.03, 0.08)
+IDEAL = dict(r_a1=0.0, p_qnd=1.0, p_dark=0.0, tau_cycle=0.0)
+
+
+@pytest.fixture(params=[None, 40], ids=["default_bound", "small_bound"])
+def chunk_bound(request, monkeypatch):
+    """The default chunk bound, and one that gives chunks of a few cells and
+    windows of a few rounds."""
+    if request.param is not None:
+        monkeypatch.setattr(protocol, "_CHUNK_STATES", request.param)
+    return protocol._CHUNK_STATES
+
+
+def assert_cell_is(cell, rounds: int, result) -> None:
+    assert cell.rounds_used == rounds == result.params.rounds
+    assert (cell.l_z, cell.l_x) == (result.params.l_z, result.params.l_x)
+    assert cell.total_success == result.total_success
+    assert cell.fidelity_per_target == result.fidelity_per_target
+
+
+class TestChunkScan:
+    """The cells of a sweep share engine passes, a chunk at a time, and each
+    equals a separate optimize_rounds or run_protocol call under ==."""
+
+    @pytest.mark.parametrize("approach,observable", [("A", "XX"), ("A", "ZZ"), ("B", "XX")])
+    @pytest.mark.parametrize("objective", [OBJECTIVE_CONSTRAINED, OBJECTIVE_WEIGHTED])
+    def test_optimized_cells_equal_optimize_rounds(
+        self, chunk_bound, approach, observable, objective
+    ):
+        kwargs = dict(flip_observable=observable, detector_eff=0.9)
+        cell = ProtocolParams(approach, p_abs=0.5, rounds=4, **kwargs)
+        chunk = protocol._chunk_size(_candidate_schedules(cell))
+        assert chunk < len(CHUNK_P_ABS) * len(CHUNK_P_LOSS)
+        grid = sweep(
+            CHUNK_P_ABS, CHUNK_P_LOSS, approach, optimize_l=True, objective=objective, **kwargs
+        )
+        for i, p_abs in enumerate(CHUNK_P_ABS):
+            for j, p_loss in enumerate(CHUNK_P_LOSS):
+                outcome = optimize_rounds(
+                    approach, p_abs, objective=objective, p_loss=p_loss, **kwargs
+                )
+                assert_cell_is(grid.cell(i, j), outcome.rounds, outcome.result)
+
+    @pytest.mark.parametrize("approach,rounds", [("A", 12), ("B", 16)])
+    def test_fixed_rounds_cells_equal_run_protocol(self, chunk_bound, approach, rounds):
+        grid = sweep(CHUNK_P_ABS, CHUNK_P_LOSS, approach, rounds=rounds, p_dark=1e-3)
+        for i, p_abs in enumerate(CHUNK_P_ABS):
+            for j, p_loss in enumerate(CHUNK_P_LOSS):
+                params = ProtocolParams(approach, p_abs, rounds, p_loss=p_loss, p_dark=1e-3)
+                assert_cell_is(grid.cell(i, j), rounds, run_protocol(params))
+
+    @pytest.mark.parametrize("approach", ["A", "B"])
+    def test_floored_cells_equal_optimize_rounds(self, chunk_bound, approach):
+        # ideal cells at p_abs = 1 empty their columns at the branch floor
+        # mid-run, in some window of rounds
+        grid = sweep((0.5, 1.0), (0.0, 0.05), approach, optimize_l=True, **IDEAL)
+        for i, p_abs in enumerate(grid.p_abs_axis):
+            for j, p_loss in enumerate(grid.p_loss_axis):
+                outcome = optimize_rounds(approach, p_abs, p_loss=p_loss, **IDEAL)
+                assert_cell_is(grid.cell(i, j), outcome.rounds, outcome.result)
+
+    def test_infeasible_cell_raises_as_optimize_rounds(self, chunk_bound):
+        # (0.2, 0.1) has a feasible round count, (0.2, 0.3) none
+        with pytest.raises(NoFeasibleRoundsError) as direct:
+            optimize_rounds("B", 0.2, p_loss=0.3)
+        with pytest.raises(NoFeasibleRoundsError) as swept:
+            sweep([0.2, 0.5], [0.1, 0.3], "B", optimize_l=True)
+        assert str(swept.value) == str(direct.value)
+
+    @pytest.mark.parametrize(
+        "axes,approach,kwargs",
+        [
+            ((np.linspace(0.4, 0.95, 12), (0.0, 0.05, 0.1)), "B", dict(optimize_l=True)),
+            ((np.linspace(0.4, 0.95, 40), np.linspace(0.0, 0.1, 10)), "A", dict(rounds=8)),
+        ],
+        ids=["optimized_b", "fixed_a"],
+    )
+    def test_chunks_stay_within_the_chunk_bound(self, monkeypatch, axes, approach, kwargs):
+        states_advanced, chunks = [], []
+        advance, compile_maps = protocol._advance, protocol._compile
+
+        def counting(round_map, states):
+            states_advanced.append(states[..., 0, 0].size)
+            return advance(round_map, states)
+
+        def chunk(cells, codes):
+            chunks.append(len(cells))
+            return compile_maps(cells, codes)
+
+        monkeypatch.setattr(protocol, "_advance", counting)
+        monkeypatch.setattr(protocol, "_compile", chunk)
+        sweep(*axes, approach, **kwargs)
+        cell = ProtocolParams(approach, p_abs=0.5, rounds=kwargs.get("rounds", 4))
+        fixed = "rounds" in kwargs
+        size = protocol._chunk_size([build_schedule(cell)] if fixed else _candidate_schedules(cell))
+        cells = len(axes[0]) * len(axes[1])
+        assert 1 < size < cells
+        assert chunks == [size] * (cells // size) + [cells % size] * (cells % size > 0)
+        assert 0 < max(states_advanced) <= protocol._CHUNK_STATES
