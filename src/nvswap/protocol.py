@@ -41,8 +41,11 @@ Checks, each on every round of every column, reported at the first failing
 round: the click and no-click weights sum to the input weight within
 WEIGHT_ATOL, and the no-click state is symmetric within HERMITICITY_ATOL.
 Every herald conditional and every run's final state: finite, Hermitian,
-unit trace and positive semidefinite (`states.check_density`).  A breach
-raises StateValidationError before any result is built.
+unit trace and positive semidefinite (`states.check_density`), each checked
+as the direct sum `_Support` proves it is, whose spectrum is the union of its
+blocks' spectra: a final state as eight 1x1 and six 4x4 blocks, a
+conditional as two 2x2 blocks.  A breach raises StateValidationError before
+any result is built.
 """
 
 from __future__ import annotations
@@ -104,8 +107,9 @@ DEFAULT_TAU_CYCLE = 200e-9
 DEFAULT_T2 = 100e-6
 # the most states (block stacks) one scan holds at a time: it runs its rounds
 # in windows of at most this many, and its readouts and final states fill at
-# most as many again (`_chunk_size`); a 4-cell approach-B round-count scan holds
-# 16 of 64 rounds at once, keeping a sweep's peak memory within 5% of 1-cell scans
+# most as many again (`_chunk_size`); an 11-cell approach-B round-count scan
+# holds 5 of 64 rounds at once, and a sweep of such chunks peaks 8% above 1-cell
+# scans in resident memory (29-cell approach-A chunks: 16%), mostly compiled maps
 _CHUNK_STATES = 17 * 64
 
 
@@ -378,6 +382,20 @@ def _components(count: int, sources: np.ndarray, targets: np.ndarray) -> np.ndar
     return np.unique(label, return_inverse=True)[1]
 
 
+def _direct_sum(count: int, rows: np.ndarray, cols: np.ndarray, at: np.ndarray) -> list:
+    """A count x count matrix whose only nonzeros are its entries (rows[i],
+    cols[i]), at position at[i] of a vector, as the direct sum of its indices'
+    components under them: per block size s, ascending, the positions of the
+    blocks' entries as a (blocks, s, s) stack, each block in index order."""
+    part = _components(count, rows, cols)
+    size = np.bincount(part)[part]
+    order = np.lexsort((part, size))
+    where = np.full((count, count), -1)
+    where[rows, cols] = at
+    groups = [order[size[order] == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
+    return [where[group[:, :, None], group[:, None, :]] for group in groups]
+
+
 class _Support:
     """The reachable entries of the density matrix, split into invariant blocks.
 
@@ -447,11 +465,19 @@ class _Support:
         self.mirrors = [tuple(slice(int(x[0]), int(x[-1]) + 1) for x in run) for run in runs]
         pair_r, slot_r = np.divmod(rows, DIM_2P)
         pair_c, slot_c = np.divmod(cols, DIM_2P)
-        # herald_rows: the partial trace over node2p (16 rows, the 4x4 block) and the trace
+        # herald_rows: the partial trace over node2p on the entries of the 4x4
+        # block it reaches (`pair13`, flat indices; the rest are always 0) and the trace
         same = np.flatnonzero(slot_r == slot_c)
-        self.herald_rows = np.zeros((DIM_PAIR13 * DIM_PAIR13 + 1, len(self.trace)))
-        self.herald_rows[pair_r[same] * DIM_PAIR13 + pair_c[same], self.slot[same]] = 1.0
+        pair_r, pair_c = pair_r[same], pair_c[same]
+        self.pair13, row = np.unique(pair_r * DIM_PAIR13 + pair_c, return_inverse=True)
+        self.herald_rows = np.zeros((len(self.pair13) + 1, len(self.trace)))
+        self.herald_rows[row, self.slot[same]] = 1.0
         self.herald_rows[-1] = self.trace
+        # the direct sums a state (on the flat view) and a conditional (on the
+        # pair13 entries) are, and where a conditional's diagonal sits
+        self.state_blocks = _direct_sum(DIM_TOTAL, rows, cols, self.slot)
+        self.pair13_blocks = _direct_sum(DIM_PAIR13, pair_r, pair_c, row)
+        self.diagonal = np.searchsorted(self.pair13, np.arange(DIM_PAIR13) * (DIM_PAIR13 + 1))
         # the herald rows read only the flat view's first `span` entries
         self.span = int(np.flatnonzero(self.herald_rows.any(axis=0))[-1]) + 1
         self.a2 = self.read(self.trace[None], self.lift(((1.0, A2_PROJECTOR),)))[0]
@@ -485,11 +511,12 @@ def _compile(
     A round is absorption, the herald split, then on the no-click branch
     photon loss, dephasing of all three spins and the scheduled flip.
     Returns the herald maps, which read the click branch's reduced pair-13
-    block (16 rows), its weight and its dark-click weight (the click branch
-    at p_qnd = 0) off the absorbed state's flat view, and the no-click round
-    maps of each given flip-kind code (an index into _KINDS).  Both include
-    the absorption, so both act on the state a round starts from.  The
-    stages every cell shares are lifted once and broadcast over the cells.
+    block (its `_Support.pair13` entries, the others being always 0), its
+    weight and its dark-click weight (the click branch at p_qnd = 0) off the
+    absorbed state's flat view, and the no-click round maps of each given
+    flip-kind code (an index into _KINDS).  Both include the absorption, so
+    both act on the state a round starts from.  The stages every cell shares
+    are lifted once and broadcast over the cells.
     """
     support = _support()
     lift, read = support.lift, support.read
@@ -562,11 +589,13 @@ def _columns(schedules: Sequence[tuple[FlipKind, ...]]) -> tuple[list, np.ndarra
 def _chunk_size(schedules: Sequence[tuple[FlipKind, ...]]) -> int:
     """The most cells one _Scan of these schedules takes: their herald readouts
     (the herald rows and the dark-click weight, per column and round) and
-    final states (as dense matrices) fill at most _CHUNK_STATES block stacks."""
+    final states (a block stack per run) fill at most _CHUNK_STATES block
+    stacks, and a window of two rounds holds at most _CHUNK_STATES states."""
     support, (columns, _) = _support(), _columns(schedules)
-    readouts = len(columns[0]) * len(columns) * (len(support.herald_rows) + 1)
-    per_cell = readouts + len(schedules) * DIM_TOTAL**2
-    return max(1, _CHUNK_STATES * support.blocks * support.width // per_cell)
+    stack = support.blocks * support.width
+    per_cell = len(columns[0]) * len(columns) * (len(support.herald_rows) + 1)
+    per_cell += len(schedules) * stack
+    return max(1, min(_CHUNK_STATES * stack // per_cell, _CHUNK_STATES // (2 * len(columns))))
 
 
 class _Scan:
@@ -587,11 +616,11 @@ class _Scan:
     BRANCH_WEIGHT_FLOOR empties the column from that round on, as in a
     round-by-round loop), the herald readout, each entry's difference from
     its transpose, and the final states.  Then come the checks (see the
-    module docstring), the cumulative sums, and per run its final state (as
-    a 32x32 matrix), its parity outcomes (approach A) and the arrays
-    `analytics` scores.  `result(i)` builds run i's ProtocolResult from
-    those arrays.  `rho`, the initial density matrix, defaults to the
-    protocol's.
+    module docstring) on the final states' and herald conditionals' blocks,
+    the cumulative sums, and per run its parity outcomes (approach A) and
+    the arrays `analytics` scores.  `result(i)` builds run i's
+    ProtocolResult from those arrays.  `rho`, the initial density matrix,
+    defaults to the protocol's.
     """
 
     def __init__(
@@ -707,12 +736,11 @@ class _Scan:
 
         # heralds: clicks above the floor
         recorded = live & (click > BRANCH_WEIGHT_FLOOR)
-        blocks = heralds[..., :-2].reshape(n, m * k, DIM_PAIR13, DIM_PAIR13)
+        blocks = heralds[..., :-2]  # the pair13 entries of each click's block
         targets = _TARGETS[flips[:-1, :, 0] % 2, flips[:-1, :, 1] % 2]
         per_target = targets[..., None] == np.arange(DIM_PAIR13)
-        # each block's target entry, block[t, t], off the flattened blocks' diagonals
-        diagonal = heralds[..., : DIM_PAIR13 * DIM_PAIR13 : DIM_PAIR13 + 1]
-        target_entry = np.where(per_target, diagonal, 0.0).sum(axis=-1)
+        # each block's target entry, block[t, t], off its diagonal
+        target_entry = np.where(per_target, blocks[..., support.diagonal], 0.0).sum(axis=-1)
         fidelity = target_entry / np.where(recorded, click, 1.0)
         clicks = np.where(recorded, click, 0.0)
         weighted = np.where(recorded, clicks * fidelity, 0.0)
@@ -729,10 +757,6 @@ class _Scan:
         # the floor emptied these runs: final state, weight, A2 weight and
         # parity weights are exactly 0
         empty = weight <= BRANCH_WEIGHT_FLOOR
-        matrices = np.zeros((len(self.stop), DIM_TOTAL, DIM_TOTAL))
-        matrices[:, support.rows, support.cols] = (
-            finals[:, support.slot] / np.where(empty, 1.0, weight)[:, None]
-        )
         # the unnormalised A2 weight, one dot product per run, so that a run's
         # bits do not depend on how many runs the scan holds
         self.false_negative = np.matmul(finals[:, None, :], support.a2[:, None])[:, 0, 0]
@@ -746,12 +770,15 @@ class _Scan:
             sectors = np.matmul(readout[:, None], finals[None, :, :, None])[..., 0]
         found = sectors[..., -1] > BRANCH_WEIGHT_FLOOR
         self._parity_weights = np.where(found, sectors[..., -1], 0.0)
-        conditionals = sectors[..., :-1] / np.where(found, sectors[..., -1], 1.0)[..., None]
-        self._parity_conditionals = conditionals.reshape(*found.shape, DIM_PAIR13, DIM_PAIR13)
-        # every herald conditional in one check (clicks, then parity), then the final states
-        clicked = blocks[recorded] / click[recorded][:, None, None]
-        check_density(np.concatenate([clicked, self._parity_conditionals[found]]))
-        check_density(matrices[~empty])
+        scale = np.where(found, sectors[..., -1], 1.0)[..., None]
+        self._parity_conditionals = sectors[..., :-1] / scale
+        # every herald conditional in one check (clicks, then parity), then the
+        # final states, each as the direct sum it is (`_Support`)
+        clicked = blocks[recorded] / click[recorded][:, None]
+        conditionals = np.concatenate([clicked, self._parity_conditionals[found]])
+        check_density(*(conditionals[:, where] for where in support.pair13_blocks))
+        full = finals[~empty] / weight[~empty, None]
+        check_density(*(full[:, where] for where in support.state_blocks))
         parity = self._parity_weights.sum(axis=0)
         if params.approach == "A":
             # added after the clicks, even then odd, in the order of the herald log
@@ -759,7 +786,7 @@ class _Scan:
                 self._parity_targets, self._parity_weights, self._parity_conditionals
             ):
                 success[:, target] += heralded
-                weighted_sum[:, target] += heralded * conditional[:, target, target]
+                weighted_sum[:, target] += heralded * conditional[:, support.diagonal[target]]
             self.failure, self.residual = weight - parity, np.zeros(len(self.stop))
         else:
             self.failure, self.residual = np.zeros(len(self.stop)), weight
@@ -780,13 +807,17 @@ class _Scan:
         rounds = np.flatnonzero(recorded[:stop, c])
         weights = clicks[rounds, c]
         outcomes = len(self._parity_targets)
+        # each conditional's pair13 entries placed into a 4x4 block of zeros
+        entries = [blocks[rounds, c] / weights[:, None], self._parity_conditionals[:, i]]
+        conditionals = np.zeros((len(rounds) + outcomes, DIM_PAIR13 * DIM_PAIR13))
+        conditionals[:, _support().pair13] = np.concatenate(entries)
         records = _herald_records(
             zip(
                 (rounds + 1).tolist() + [stop] * outcomes,
                 flips[rounds, c].tolist() + [flips[stop, c].tolist()] * outcomes,
                 [HeraldType.QND_CLICK] * len(rounds) + list(_PARITY_TYPES),
                 weights.tolist() + self._parity_weights[:, i].tolist(),
-                [*(blocks[rounds, c] / weights[:, None, None]), *self._parity_conditionals[:, i]],
+                conditionals.reshape(-1, DIM_PAIR13, DIM_PAIR13),
                 targets[rounds, c].tolist() + self._parity_targets,
                 false_weights[rounds, c].tolist() + [0.0] * outcomes,
             )

@@ -178,43 +178,48 @@ def _validate_matrix(matrix: np.ndarray, weight: float) -> None:
     check_density(matrix)
 
 
-# a stack is checked in slices of at most this many bytes: every step below
-# makes temporaries the size of its input, and past this size they cost more
-# than the extra calls (an approach-A scan checks 32 final states of 32x32;
-# sliced, optimize_rounds("A") took 6% less time on a 2-vCPU VM)
-_CHECK_SLICE_BYTES = 1 << 17
+def check_density(*blocks: np.ndarray) -> None:
+    """Matrices must be finite, Hermitian, of unit trace and positive
+    semidefinite, each within the tolerances above.  They come as a square
+    matrix or a stack of them (an empty stack passes), or as direct sums, one
+    (matrices, blocks, s, s) stack of their blocks per block size s.
 
-
-def check_density(matrix: np.ndarray) -> None:
-    """A square matrix, or a stack of them (an empty stack passes), must be
-    finite, Hermitian, of unit trace and positive semidefinite, each within
-    the tolerances above.
-
-    The PSD check factors matrix - EIGENVALUE_FLOOR * I by Cholesky, which
-    succeeds exactly when the smallest eigenvalue is at least EIGENVALUE_FLOOR
-    (up to rounding); only a failed factorisation computes eigenvalues.
+    A direct sum's spectrum is the union of its blocks' spectra, so each block
+    is tested on its own (`_above_floor`); only a failed test computes
+    eigenvalues.
     """
-    per_slice = max(1, _CHECK_SLICE_BYTES // (matrix.shape[-1] ** 2 * matrix.itemsize))
-    if matrix.ndim == 3 and len(matrix) > per_slice:
-        for start in range(0, len(matrix), per_slice):
-            check_density(matrix[start : start + per_slice])
-        return
-    if not np.all(np.isfinite(matrix)):
+    stacks = [b.reshape(-1, 1, *b.shape[-2:]) if b.ndim < 4 else b for b in blocks]
+    if not all(np.isfinite(stack).all() for stack in stacks):
         raise StateValidationError("state matrix contains non-finite entries")
-    asymmetry = np.abs(matrix - np.swapaxes(matrix, -1, -2).conj()).max(initial=0.0)
+    asymmetry = max(np.abs(b - b.swapaxes(-1, -2).conj()).max(initial=0.0) for b in stacks)
     if asymmetry > HERMITICITY_ATOL:
         raise StateValidationError(f"state matrix is not Hermitian (max asymmetry {asymmetry:.3e})")
-    traces = np.trace(matrix, axis1=-2, axis2=-1).real
+    traces = sum(stack.diagonal(0, -2, -1).real.sum(axis=(-2, -1)) for stack in stacks)
     deviation = np.abs(traces - 1.0)
     if deviation.max(initial=0.0) > TRACE_ATOL:
-        trace = float(traces.flat[deviation.argmax()])
+        trace = float(traces[deviation.argmax()])
         raise StateValidationError(f"state matrix trace is {trace!r}, expected 1")
-    try:
-        np.linalg.cholesky(matrix - EIGENVALUE_FLOOR * np.eye(matrix.shape[-1]))
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(matrix).min())
-        if smallest < EIGENVALUE_FLOOR:
-            raise StateValidationError(f"state matrix has negative eigenvalue {smallest:.3e}")
+    smallest = [np.linalg.eigvalsh(stack).min() for stack in stacks if not _above_floor(stack)]
+    if min(smallest, default=0.0) < EIGENVALUE_FLOOR:
+        raise StateValidationError(f"state matrix has negative eigenvalue {min(smallest):.3e}")
+
+
+def _above_floor(stack: np.ndarray) -> bool:
+    """Whether each Hermitian block of a stack has no eigenvalue below f =
+    EIGENVALUE_FLOOR, up to rounding: a 1x1 block [a] when a - f >= 0, a 2x2
+    one [[a, b*], [b, d]] when a - f >= 0, d - f >= 0 and (a - f)(d - f) >=
+    |b|^2, a larger one when block - f I has a Cholesky factor."""
+    size, floor = stack.shape[-1], EIGENVALUE_FLOOR
+    if size == 1:
+        return bool((stack.real >= floor).all())
+    if size > 2:
+        try:
+            np.linalg.cholesky(stack - floor * np.eye(size))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    a, d = stack[..., 0, 0].real - floor, stack[..., 1, 1].real - floor
+    return bool(((a >= 0.0) & (d >= 0.0) & (a * d >= np.abs(stack[..., 1, 0]) ** 2)).all())
 
 
 @dataclass(frozen=True, eq=False)

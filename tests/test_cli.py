@@ -1,3 +1,5 @@
+import random
+import re
 import subprocess
 import sys
 
@@ -17,6 +19,8 @@ from nvswap.config import (
 )
 from nvswap.protocol import HeraldType, ProtocolParams, run_protocol
 from nvswap.states import DIM_TOTAL, BellLabel, JointState, StateValidationError
+
+from test_readme import EXAMPLES
 
 
 def write_config(tmp_path, name, text):
@@ -523,3 +527,41 @@ class TestEntryPoint:
         first = subprocess.run(args, capture_output=True).stdout
         second = subprocess.run(args, capture_output=True).stdout
         assert first == second
+
+
+# odd spellings of a config value: non-finite and out-of-range floats, ints
+# past Python's 4,300-digit limit, hex, underscores, bool words, lists, empty
+# values and malformed pairs
+ODD_VALUES = (
+    *("nan", "-nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity"),
+    *("1e400", "-1e400", "1e-400", "-1e-400", "9" * 4301, "-" + "9" * 4301, "0." + "9" * 4301),
+    *("0x10", "0X1F", "0x1p-1", "1_0", "0_5", "0.5_0", "_1", "1_", "1__0"),
+    *("true", "False", "yes", "no", "on", "off"),
+    *("0.5, 0.7", "[0.5]", "(1, 2)", "0.5 0.7", "1,", ",", ""),
+    *("0.5:", ":16", "0.5:16:2", "0.5;16", "a:b", "0.5:1.5", "0.5:-4", "0.5:0", "0.5:1_6"),
+)
+
+
+def odd_values(count: int, seed: int) -> list:
+    """A seeded sample of (command, key, odd value): one key of a README
+    config and the value that replaces its own."""
+    cases = [
+        (command, key, value)
+        for command, (config, _) in sorted(EXAMPLES.items())
+        for key in parse_config_text(config)
+        for value in ODD_VALUES
+    ]
+    return random.Random(seed).sample(cases, count)
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    odd_values(200, seed=5),
+    ids=lambda case: case if len(case) < 12 else f"{case[:8]}...",
+)
+def test_an_odd_config_value_exits_0_or_2(tmp_path, capsys, command, key, value):
+    # accepted as the number float() or int() reads, or rejected as a bad
+    # configuration; never a crash (1) or an invariant violation (3)
+    config = re.sub(rf"^{key} =.*$", f"{key} = {value}", EXAMPLES[command][0], flags=re.M)
+    path = write_config(tmp_path, f"{command}.cfg", config)
+    assert cli.main([command, "--config", path]) in (0, 2)

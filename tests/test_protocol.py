@@ -20,12 +20,16 @@ from nvswap.protocol import (
     run_protocol,
 )
 from nvswap.states import (
+    DIM_PAIR13,
     DIM_TOTAL,
+    EIGENVALUE_FLOOR,
+    SLOT_A1,
     BellLabel,
     JointState,
     ParameterError,
     StateValidationError,
     basis_index,
+    check_density,
     make_initial_state,
 )
 from nvswap.sweep import RelayChainSpec, relay_chain, sweep
@@ -680,6 +684,213 @@ class TestBlockPartition:
         assert np.array_equal(merged[rest][:, None] == merged[rest][None, :], before)
 
 
+def _dense(support, flat: np.ndarray) -> np.ndarray:
+    """A state's flat view as its 32x32 matrix on the support."""
+    matrix = np.zeros((DIM_TOTAL, DIM_TOTAL))
+    matrix[support.rows, support.cols] = flat[support.slot]
+    return matrix
+
+
+def _random_psd(rng, size: int, smallest: float) -> np.ndarray:
+    """A random symmetric size x size block with the given smallest eigenvalue."""
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    values = np.r_[smallest, rng.uniform(0.01, 0.1, size - 1)]
+    return (q * values) @ q.T
+
+
+def _verdict(*blocks) -> str | None:
+    """check_density's message on the given matrices, None if they pass."""
+    try:
+        check_density(*blocks)
+    except StateValidationError as error:
+        return str(error)
+    return None
+
+
+def _block_verdict(smallest: float, *blocks) -> str | None:
+    """_verdict on direct sums, asserting that matrices whose smallest
+    eigenvalue lies above the floor pass without computing eigenvalues."""
+    eigvalsh, computed = np.linalg.eigvalsh, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda m: computed.append(m) or eigvalsh(m))
+        verdict = _verdict(*blocks)
+    assert not (computed and smallest > EIGENVALUE_FLOOR)
+    return verdict
+
+
+FLOOR = EIGENVALUE_FLOOR
+BELOW_FLOOR = np.nextafter(EIGENVALUE_FLOOR, -1.0)
+
+
+class TestDirectSums:
+    """The engine checks a final state as 8 scalars and six 4x4 blocks, and a
+    herald conditional as two 2x2 blocks (`_Support.state_blocks`,
+    `pair13_blocks`), each in place of the dense matrix they sum to."""
+
+    def test_blocks_cover_the_support_once(self):
+        support = protocol._support()
+        assert [b.shape for b in support.state_blocks] == [(8, 1, 1), (6, 4, 4)]
+        slots = np.concatenate([b.ravel() for b in support.state_blocks])
+        assert np.array_equal(np.sort(slots), np.sort(support.slot))
+        assert [b.shape for b in support.pair13_blocks] == [(2, 2, 2)]
+        positions = support.pair13_blocks[0].ravel()
+        assert np.array_equal(np.sort(positions), np.arange(len(support.pair13)))
+        # each block is the s x s submatrix of s indices, and the blocks'
+        # indices partition the 32
+        number = {slot: i for i, slot in enumerate(support.slot.tolist())}
+        indices = []
+        for stack in support.state_blocks:
+            for block in stack:
+                entries = [number[slot] for slot in block.ravel().tolist()]
+                rows, cols = support.rows[entries], support.cols[entries]
+                assert np.array_equal(rows.reshape(block.shape), cols.reshape(block.shape).T)
+                assert len(set(rows)) == len(block)
+                indices += sorted(set(rows))
+        assert sorted(indices) == list(range(DIM_TOTAL))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("stack", [0, 1], ids=["scalar", "block"])
+    @pytest.mark.parametrize(
+        "smallest,rotated",
+        [
+            (0.0, False),
+            (FLOOR, False),
+            (BELOW_FLOOR, False),
+            (FLOOR + 1e-14, True),
+            (FLOOR - 1e-14, True),
+            (-1e-6, True),
+        ],
+        ids=["zero", "at_floor", "ulp_below", "just_above", "just_below", "negative"],
+    )
+    def test_state_blocks_agree_with_the_dense_check(self, seed, stack, smallest, rotated):
+        # a random direct sum of unit trace; one scalar or 4x4 block has the
+        # given smallest eigenvalue.  Its blocks are rotated, or all diagonal,
+        # where the dense eigenvalues are exact and the floor itself decides
+        support = protocol._support()
+        rng = np.random.default_rng(seed)
+        flat = np.zeros(support.blocks * support.width)
+        chosen = support.state_blocks[stack][rng.integers(6)]
+        for at in support.state_blocks:
+            for block in at:
+                low = smallest if np.array_equal(block, chosen) else rng.uniform(0.01, 0.1)
+                values = np.r_[low, rng.uniform(0.01, 0.1, len(block) - 1)]
+                flat[block] = _random_psd(rng, len(block), low) if rotated else np.diag(values)
+        # unit trace, scaling every block but the chosen one
+        others = ~np.isin(np.arange(len(flat)), chosen)
+        flat[others] *= (1.0 - np.trace(flat[chosen])) / flat[others & (support.trace == 1.0)].sum()
+        states = [flat[None, at] for at in support.state_blocks]
+        verdict = _block_verdict(smallest, *states)
+        assert verdict == _verdict(_dense(support, flat))
+        if smallest >= FLOOR:
+            assert verdict is None
+        else:
+            assert verdict.startswith("state matrix has negative eigenvalue")
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "smallest,rotated",
+        [
+            (0.0, False),
+            (FLOOR, False),
+            (BELOW_FLOOR, False),
+            (FLOOR + 1e-14, True),
+            (FLOOR - 1e-14, True),
+            (-1e-6, True),
+            (0.3, True),
+        ],
+        ids=["zero", "at_floor", "ulp_below", "just_above", "just_below", "negative", "valid"],
+    )
+    def test_conditional_blocks_agree_with_the_dense_check(self, seed, smallest, rotated):
+        support = protocol._support()
+        rng = np.random.default_rng(seed)
+        entries = np.zeros(len(support.pair13))
+        for block, low in zip(support.pair13_blocks[0], (smallest, rng.uniform(0.0, 0.2))):
+            values = [low, rng.uniform(0.3, 0.5)]
+            entries[block] = _random_psd(rng, 2, low) if rotated else np.diag(values)
+        second = support.pair13_blocks[0][1]
+        entries[second] *= (1.0 - entries[support.diagonal[:2]].sum()) / np.trace(entries[second])
+        dense = np.zeros(DIM_PAIR13 * DIM_PAIR13)
+        dense[support.pair13] = entries
+        verdict = _block_verdict(smallest, entries[None, support.pair13_blocks[0]])
+        assert verdict == _verdict(dense.reshape(DIM_PAIR13, DIM_PAIR13))
+        if smallest >= FLOOR:
+            assert verdict is None
+        else:
+            assert verdict.startswith("state matrix has negative eigenvalue")
+
+    @pytest.mark.parametrize("kind", ["state", "conditional"])
+    @pytest.mark.parametrize(
+        "breach,message",
+        [
+            ("nan", "state matrix contains non-finite entries"),
+            ("asymmetry", "state matrix is not Hermitian (max asymmetry 2.000e-09)"),
+            ("trace", "state matrix trace is "),
+        ],
+        ids=["nan", "asymmetry", "trace"],
+    )
+    def test_blocks_report_the_breaches_the_dense_check_reports(self, kind, breach, message):
+        # a valid diagonal state or conditional, broken in its first block
+        # that is not 1x1: an off-diagonal entry made nan or 2e-9 larger than
+        # its transpose, or every entry scaled by 1 + 1e-9
+        support = protocol._support()
+        blocks = support.state_blocks if kind == "state" else support.pair13_blocks
+        flat = np.zeros(support.blocks * support.width if kind == "state" else len(support.pair13))
+        for at in blocks:
+            flat[np.diagonal(at, axis1=-2, axis2=-1)] = 1.0
+        flat /= flat.sum()
+        upper = blocks[-1][0, 0, 1]
+        if breach == "trace":
+            flat *= 1.0 + 1e-9
+        else:
+            flat[upper] = np.nan if breach == "nan" else 2e-9
+        if kind == "state":
+            dense = _dense(support, flat)
+        else:
+            dense = np.zeros(DIM_PAIR13 * DIM_PAIR13)
+            dense[support.pair13] = flat
+            dense = dense.reshape(DIM_PAIR13, DIM_PAIR13)
+        verdict = _verdict(*(flat[None, at] for at in blocks))
+        assert verdict.startswith(message)
+        assert _verdict(dense).startswith(message)
+        if breach != "trace":
+            assert verdict == _verdict(dense)
+
+    @pytest.mark.parametrize("block", range(7))
+    def test_a_final_state_negative_inside_one_block_raises(self, block):
+        # with nothing absorbed, clicked, lost or dephased a run only flips, so
+        # its final state has the initial state's spectrum: 1/32 on the support's
+        # diagonal, and in one block a coherence or an A1 population that
+        # makes an eigenvalue of -0.01875
+        support = protocol._support()
+        params = ProtocolParams("B", 0.0, 8, p_qnd=0.0, p_dark=0.0, tau_cycle=0.0)
+        rho = np.eye(DIM_TOTAL) / DIM_TOTAL
+        if block < 6:
+            entry = np.flatnonzero(support.slot == support.state_blocks[1][block, 0, 1])
+            i, j = support.rows[entry], support.cols[entry]
+            rho[i, j] = rho[j, i] = 0.05
+        else:
+            a1 = basis_index(BellLabel.PSI_MINUS, SLOT_A1)
+            rho[a1, a1] -= 0.05
+            rho[0, 0] += 0.05
+        message = "^state matrix has negative eigenvalue -1.875e-02$"
+        with pytest.raises(StateValidationError, match=message):
+            protocol._Scan((params,), (build_schedule(params),), rho)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
+    def test_a_click_conditional_negative_inside_one_block_raises(self, pair):
+        # round 1 absorbs every psi- population and clicks on all of it: the
+        # click's conditional is diag(1.2, -0.2) on the given pair of labels
+        params = ProtocolParams("B", 1.0, 4, r_a1=0.0, p_qnd=1.0, p_dark=0.0, tau_cycle=0.0)
+        rho = np.zeros((DIM_TOTAL, DIM_TOTAL))
+        for label, value in zip(pair, (0.6, -0.1)):
+            rho[basis_index(label, 3), basis_index(label, 3)] = value
+        rest = basis_index(pair[0] ^ 2, 0)
+        rho[rest, rest] = 0.5
+        message = "^state matrix has negative eigenvalue -2.000e-01$"
+        with pytest.raises(StateValidationError, match=message):
+            protocol._Scan((params,), (build_schedule(params),), rho)
+
+
 class TestCompiledMaps:
     """_compile's block maps, scattered back to the support, against products
     of stage superoperators built straight from channels.kraus_sum."""
@@ -708,7 +919,15 @@ class TestCompiledMaps:
         padding = np.ones(herald.shape[1], dtype=bool)
         padding[support.slot] = False
         assert not herald[:, padding].any()
-        assert np.abs(herald[:, support.slot] - spec_herald).max() <= 1e-14
+        # the spec's rows: the 16 entries of the 4x4 block, its trace and the
+        # dark-click weight; the engine keeps the block's pair13 entries, and
+        # the 8 rows it drops are 0 in the spec, so dropping them loses nothing
+        entries = DIM_PAIR13 * DIM_PAIR13
+        dropped = np.setdiff1d(np.arange(entries), support.pair13)
+        assert len(support.pair13) == len(dropped) == 8
+        assert not spec_herald[dropped].any()
+        kept = np.r_[support.pair13, entries, entries + 1]
+        assert np.abs(herald[:, support.slot] - spec_herald[kept]).max() <= 1e-14
 
 
 class TestOneBuildPerScan:
@@ -748,9 +967,9 @@ class TestOneBuildPerScan:
         assert builds == [[protocol._KINDS.index(FlipKind.PHASE)]]
 
     def test_sweep_builds_once_per_chunk_for_the_kinds_it_uses(self, builds):
-        # 3 x 3 optimised B cells are three chunks of up to 4 cells; B's
+        # 3 x 8 optimised B cells are three chunks of up to 11 cells; B's
         # schedules use no polarisation flip on its own
-        sweep([0.4, 0.6, 0.8], [0.0, 0.05, 0.1], "B", optimize_l=True)
+        sweep([0.4, 0.6, 0.8], np.linspace(0.0, 0.1, 8), "B", optimize_l=True)
         used = sorted(protocol._KINDS.index(k) for k in FlipKind if k is not FlipKind.POLARISATION)
         assert builds == [used] * 3
         builds.clear()

@@ -260,10 +260,10 @@ class TestSweep:
         assert used[0] != used[1]
 
 
-# every approach and observable has a feasible round count on this grid; 12
-# cells are three chunks of an optimised sweep
-CHUNK_P_ABS = (0.45, 0.6, 0.75, 0.9)
-CHUNK_P_LOSS = (0.0, 0.03, 0.08)
+# every approach and observable has a feasible round count on this grid; its
+# 30 cells are two chunks of an optimised approach-A sweep and three of B
+CHUNK_P_ABS = (0.45, 0.54, 0.63, 0.72, 0.81, 0.9)
+CHUNK_P_LOSS = (0.0, 0.02, 0.04, 0.06, 0.08)
 IDEAL = dict(r_a1=0.0, p_qnd=1.0, p_dark=0.0, tau_cycle=0.0)
 
 
@@ -336,16 +336,21 @@ class TestChunkScan:
         "axes,approach,kwargs",
         [
             ((np.linspace(0.4, 0.95, 12), (0.0, 0.05, 0.1)), "B", dict(optimize_l=True)),
-            ((np.linspace(0.4, 0.95, 40), np.linspace(0.0, 0.1, 10)), "A", dict(rounds=8)),
+            ((np.linspace(0.4, 0.95, 40), np.linspace(0.0, 0.1, 15)), "A", dict(rounds=8)),
+            # so short a run that its readouts and final states alone would
+            # allow 940 cells, whose two-round windows hold 1,880 states
+            ((np.linspace(0.4, 0.95, 40), np.linspace(0.0, 0.1, 15)), "A", dict(rounds=2)),
         ],
-        ids=["optimized_b", "fixed_a"],
+        ids=["optimized_b", "fixed_a", "fixed_a_two_rounds"],
     )
     def test_chunks_stay_within_the_chunk_bound(self, monkeypatch, axes, approach, kwargs):
-        states_advanced, chunks = [], []
+        states_held, chunks = [], []
         advance, compile_maps = protocol._advance, protocol._compile
 
         def counting(round_map, states):
-            states_advanced.append(states[..., 0, 0].size)
+            # the states advanced, or the window of rounds they are a view of
+            held = states if states.base is None else states.base
+            states_held.append(held[..., 0, 0].size)
             return advance(round_map, states)
 
         def chunk(cells, codes):
@@ -361,4 +366,4 @@ class TestChunkScan:
         cells = len(axes[0]) * len(axes[1])
         assert 1 < size < cells
         assert chunks == [size] * (cells // size) + [cells % size] * (cells % size > 0)
-        assert 0 < max(states_advanced) <= protocol._CHUNK_STATES
+        assert 0 < max(states_held) <= protocol._CHUNK_STATES
